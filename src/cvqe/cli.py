@@ -17,6 +17,8 @@ import argparse
 import csv
 import json
 import sys
+import types
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,6 +40,7 @@ from .errors import (
     EmptySector,
     InconsistentTarget,
     InvalidEstimate,
+    NonFiniteCost,
     NotBoundary,
     NotCommuting,
     OracleTooLarge,
@@ -45,13 +48,8 @@ from .errors import (
     SingleEigenvalue,
     TargetNotInCloud,
 )
-from .exactdiag import (
-    SectorTarget,
-    min_distinct_gap,
-    sector_ground_multi,
-    simultaneous_spectrum_multi,
-)
-from .optimize import OptimizerConfig, minimize, run_trials
+from .exactdiag import min_distinct_gap, sector_ground_multi, simultaneous_spectrum_multi
+from .optimize import OptimizerConfig, initial_params, minimize, run_trials
 from .paulis import PauliSum, trace
 from .penalties import (
     PenaltyConstraint,
@@ -74,6 +72,7 @@ _ORACLE_ERRORS = (
     InconsistentTarget,
     NotBoundary,
     TargetNotInCloud,
+    NonFiniteCost,
 )
 
 _MU_POLICIES = ("auto-exact", "auto-simple", "auto-rough", "auto-ce")
@@ -113,7 +112,7 @@ class ExperimentConfig:
     out: str | None = None
     mu_values: list[float] = field(default_factory=lambda: [0.01, 0.1, 1.0, 10.0, 100.0])
     levels: int = 1
-    beta: str = "auto-rough"
+    beta: str | float = "auto-rough"  # auto-rough, auto-ce or a comma list; a number is one weight
     ce_estimates: tuple[float, float] | None = None
     match_tol: float = 1e-8
     oracle_limit: int = 12
@@ -156,6 +155,8 @@ def _parse_constraint(text: str) -> ConstraintRequest:
 def _constraint_from_json(entry) -> ConstraintRequest:
     if isinstance(entry, str):
         return _parse_constraint(entry)
+    if not (isinstance(entry, dict) and isinstance(entry.get("observable"), str) and "c" in entry):
+        raise ConfigError(f"constraint {entry!r} needs a string 'observable' and a 'c'")
     source = entry["observable"]
     target = float(entry["c"])
     policy = str(entry.get("mu", "auto-simple"))
@@ -167,6 +168,21 @@ def _constraint_from_json(entry) -> ConstraintRequest:
     return _parse_constraint(f"{source}={target}:mu={policy}")
 
 
+def _json_matches(value, hint) -> bool:
+    """Whether a JSON value fits an ExperimentConfig field annotation."""
+    if isinstance(hint, types.UnionType):
+        return any(_json_matches(value, arm) for arm in typing.get_args(hint))
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (list, tuple):
+        if not isinstance(value, list) or (origin is tuple and len(value) != len(args)):
+            return False
+        # constraint entries are strings or objects, checked as they are parsed
+        return args[0] is ConstraintRequest or all(_json_matches(v, args[0]) for v in value)
+    if hint is float:
+        hint = (int, float)
+    return not isinstance(value, bool) and isinstance(value, hint)
+
+
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     config = ExperimentConfig()
     if args.config:
@@ -175,10 +191,15 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
                 raw = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        known = set(ExperimentConfig.__dataclass_fields__)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
+        hints = typing.get_type_hints(ExperimentConfig)
         for key, value in raw.items():
-            if key not in known:
+            if key not in hints:
                 raise ConfigError(f"unknown config key {key!r}")
+            if not _json_matches(value, hints[key]):
+                expected = ExperimentConfig.__annotations__[key]
+                raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
             if key == "constraints":
                 value = [_constraint_from_json(entry) for entry in value]
             if key == "ce_estimates" and value is not None:
@@ -313,26 +334,6 @@ class Workspace:
                 )
         return self._gaps[index]
 
-    def _exact_coefficient(self, index: int) -> float:
-        points = self.spectrum_points()
-        e_target, target_rank = self.sector_target()
-        if len(self.observables) == 1:
-            return exact_coefficient(
-                points,
-                SectorTarget(self.targets[0], target_rank, e_target),
-                match_tol=self.config.match_tol,
-            )
-        # Multi-constraint threshold: every lower-lying state differs in at
-        # least one observable, so maxing over states that differ in *this*
-        # one keeps the combined penalty sufficient.
-        best = 0.0
-        for point in points[:target_rank]:
-            gap_c = point.charges[index] - self.targets[index]
-            if abs(gap_c) <= self.config.match_tol:
-                continue
-            best = max(best, (e_target - point.energy) / gap_c**2)
-        return best
-
     def resolve_coefficient(self, index: int) -> float:
         request = self.config.constraints[index]
         if request.policy == "value":
@@ -352,7 +353,11 @@ class Workspace:
             e_ground = self.spectrum_points()[0].energy
             return simple_coefficient(e_target, e_ground, self.min_gap(index))
         if request.policy == "auto-exact":
-            return self._exact_coefficient(index)
+            points = self.spectrum_points()
+            target = sector_ground_multi(points, self.targets, match_tol=self.config.match_tol)
+            return exact_coefficient(
+                points, target, match_tol=self.config.match_tol, constraint=index
+            )
         raise ConfigError(f"unknown mu policy {request.policy!r}")
 
     def penalty_constraints(self, coefficient_override: float | None = None):
@@ -529,29 +534,19 @@ def cmd_vqe(config: ExperimentConfig) -> int:
 
 
 def _retry_with_doubling(workspace: Workspace, spec, record, seed):
-    """Re-run a sector-missed seed with doubled penalty weights."""
-    attempts = 0
+    """Re-run a sector-missed seed, from its own start point, with doubled penalty weights."""
+    ansatz, config = workspace.ansatz(), workspace.optimizer_config()
+    x0 = initial_params(config.seed, ansatz, workspace.config.seeds)[seed]
     current = record
     scale = 2.0
-    while attempts < workspace.config.retry_on_miss and _sector_miss(workspace, current):
+    for _ in range(workspace.config.retry_on_miss):
+        if not _sector_miss(workspace, current):
+            break
         constraints = tuple(
             replace(c, coefficient=c.coefficient * scale) for c in spec.constraints
         )
-        retried_spec = CostSpec(
-            hamiltonian=spec.hamiltonian,
-            constraints=constraints,
-            form=spec.form,
-            deflation=spec.deflation,
-            noise=spec.noise,
-        )
-        children = np.random.SeedSequence(workspace.config.master_seed).spawn(
-            workspace.config.seeds
-        )
-        rng = np.random.default_rng(children[seed])
-        x0 = rng.uniform(0.0, 2.0 * np.pi, workspace.ansatz().parameter_count)
-        current = minimize(retried_spec, workspace.ansatz(), workspace.optimizer_config(), x0)
+        current = minimize(replace(spec, constraints=constraints), ansatz, config, x0)
         scale *= 2.0
-        attempts += 1
     return current
 
 
@@ -653,27 +648,13 @@ def cmd_vqd(config: ExperimentConfig) -> int:
             spec, ansatz, workspace.optimizer_config(), config.seeds
         )
         e_reference = penalized[level].energy if level < len(penalized) else float("nan")
-        for seed, record in enumerate(records):
+        trial_rows = _trial_rows(workspace, records, e_reference)
+        for seed, (record, row) in enumerate(zip(records, trial_rows)):
             state = prepare(ansatz, record.best_params)
-            energy = expectation(workspace.hamiltonian, state)
             max_overlap = max(
                 (overlap_sq(prev, state) for prev, _ in deflation), default=0.0
             )
-            rows.append(
-                [
-                    level,
-                    record.nfev,
-                    record.n_grad_evals,
-                    record.n_meas,
-                    record.best_cost,
-                    energy,
-                    energy - e_reference,
-                    *record.constraint_residuals,
-                    _sector_miss(workspace, record),
-                    max_overlap,
-                    seed,
-                ]
-            )
+            rows.append([level, *row[1:], max_overlap, seed])
         best = records[summary.best_index]
         found_states.append(prepare(ansatz, best.best_params))
     _write_csv(config.out, header, rows)
@@ -823,7 +804,7 @@ def main(argv=None) -> int:
     except _ORACLE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    except (ConfigError, OSError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError and library input checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,12 +1,15 @@
 """Cost functions for plain and symmetry-constrained VQE/VQD.
 
-Two penalty forms are supported:
+One formula, :func:`evaluate_cost`, serves both penalty forms::
 
-* ``PenaltyForm.OPERATOR`` adds ``mu_l <(C_l - c_l)^2>`` per constraint
-  (the squared *operator* measured once); the shifted squares are built at
-  spec construction and cached.
-* ``PenaltyForm.EXPECTATION`` adds ``mu_l (<C_l> - c_l)^2`` (the squared
-  deviation of the measured expectation).
+    total = <H> + sum_l penalty_l + sum_i beta_i |<psi_i|psi>|^2
+
+* ``PenaltyForm.OPERATOR`` measures ``m_l = <(C_l - c_l)^2>`` (the squared
+  *operator*; the shifted squares are built at spec construction) and adds
+  ``penalty_l = mu_l m_l``.
+* ``PenaltyForm.EXPECTATION`` measures ``m_l = <C_l>`` and adds
+  ``penalty_l = mu_l (m_l - c_l)^2``; the gradient's chain rule reads the
+  ``m_l`` from the breakdown.
 
 Deflation terms ``beta_i |<psi_i|psi>|^2`` target excited states.  With a
 depolarizing noise model attached, Hamiltonian and constraint expectations
@@ -41,6 +44,7 @@ class CostSpec:
     deflation: tuple[tuple[StateVector, float], ...] = ()
     noise: NoiseModel | None = None
     penalty_operators: tuple[PauliSum, ...] = field(init=False, repr=False, compare=False)
+    _measured_ops: tuple[PauliSum, ...] = field(init=False, repr=False, compare=False)
     _ops_per_eval: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -60,14 +64,12 @@ class CostSpec:
             for constraint in self.constraints
         )
         object.__setattr__(self, "penalty_operators", squares)
-        count = self.hamiltonian.non_identity_term_count()
         if self.form is PenaltyForm.OPERATOR:
-            count += sum(square.non_identity_term_count() for square in squares)
+            measured = squares
         else:
-            count += sum(
-                constraint.observable.non_identity_term_count()
-                for constraint in self.constraints
-            )
+            measured = tuple(constraint.observable for constraint in self.constraints)
+        object.__setattr__(self, "_measured_ops", measured)
+        count = sum(op.non_identity_term_count() for op in (self.hamiltonian, *measured))
         object.__setattr__(self, "_ops_per_eval", count + len(self.deflation))
 
     @property
@@ -87,45 +89,36 @@ class CostBreakdown:
     penalty_parts: tuple[float, ...]
     deflation_part: float
     pauli_ops_per_eval: int
-
-
-def _deflation_part(spec: CostSpec, state: StateVector) -> float:
-    return sum(beta * overlap_sq(prev, state) for prev, beta in spec.deflation)
+    measured: tuple[float, ...]  # per constraint: <(C-c)^2> (operator form) or <C>
 
 
 def evaluate_operator_penalty(spec: CostSpec, state: StateVector) -> CostBreakdown:
     """<H> + sum_l mu_l <(C_l - c_l)^2> + deflation."""
     if spec.form is not PenaltyForm.OPERATOR:
         raise PenaltyFormError("spec uses the squared-expectation form")
-    energy = spec._expect(spec.hamiltonian, state)
-    penalties = tuple(
-        constraint.coefficient * spec._expect(square, state)
-        for constraint, square in zip(spec.constraints, spec.penalty_operators)
-    )
-    deflation = _deflation_part(spec, state)
-    total = energy + sum(penalties) + deflation
-    return CostBreakdown(total, energy, penalties, deflation, pauli_ops_per_eval(spec))
+    return evaluate_cost(spec, state)
 
 
 def evaluate_expectation_penalty(spec: CostSpec, state: StateVector) -> CostBreakdown:
     """<H> + sum_l mu_l (<C_l> - c_l)^2 + deflation (expectations squared after noise)."""
     if spec.form is not PenaltyForm.EXPECTATION:
         raise PenaltyFormError("spec uses the squared-operator form")
-    energy = spec._expect(spec.hamiltonian, state)
-    penalties = tuple(
-        constraint.coefficient
-        * (spec._expect(constraint.observable, state) - constraint.target) ** 2
-        for constraint in spec.constraints
-    )
-    deflation = _deflation_part(spec, state)
-    total = energy + sum(penalties) + deflation
-    return CostBreakdown(total, energy, penalties, deflation, pauli_ops_per_eval(spec))
+    return evaluate_cost(spec, state)
 
 
 def evaluate_cost(spec: CostSpec, state: StateVector) -> CostBreakdown:
+    """The penalized cost of ``state`` in the spec's form (see the module docstring)."""
+    energy = spec._expect(spec.hamiltonian, state)
+    measured = tuple(spec._expect(op, state) for op in spec._measured_ops)
     if spec.form is PenaltyForm.OPERATOR:
-        return evaluate_operator_penalty(spec, state)
-    return evaluate_expectation_penalty(spec, state)
+        penalties = tuple(c.coefficient * m for c, m in zip(spec.constraints, measured))
+    else:
+        penalties = tuple(
+            c.coefficient * (m - c.target) ** 2 for c, m in zip(spec.constraints, measured)
+        )
+    deflation = sum(beta * overlap_sq(prev, state) for prev, beta in spec.deflation)
+    total = energy + sum(penalties) + deflation
+    return CostBreakdown(total, energy, penalties, deflation, pauli_ops_per_eval(spec), measured)
 
 
 def pauli_ops_per_eval(spec: CostSpec) -> int:

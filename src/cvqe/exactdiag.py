@@ -60,11 +60,16 @@ class SpectrumPoint:
 
 @dataclass(frozen=True)
 class SectorTarget:
-    """Ground state of the sector with the requested eigenvalue(s)."""
+    """Ground state of the sector with the requested eigenvalue(s).
+
+    ``charge`` is the first requested eigenvalue; ``charges`` holds all of
+    them, one per observable (empty means just ``charge``).
+    """
 
     charge: float
     index: int
     energy: float
+    charges: tuple[float, ...] = ()
 
 
 def _cluster(sorted_values: np.ndarray, tol: float) -> list[slice]:
@@ -147,10 +152,7 @@ def simultaneous_spectrum(
 
 def sector_ground(points, target: float, match_tol: float = 1e-8) -> SectorTarget:
     """Lowest-energy point whose charge matches ``target`` within tolerance."""
-    for rank, point in enumerate(points):
-        if abs(point.charge - target) <= match_tol:
-            return SectorTarget(charge=target, index=rank, energy=point.energy)
-    raise EmptySector(f"no eigenstate with charge {target} (tol {match_tol})")
+    return sector_ground_multi(points, (target,), match_tol=match_tol)
 
 
 def sector_ground_multi(points, targets, match_tol: float = 1e-8) -> SectorTarget:
@@ -158,7 +160,7 @@ def sector_ground_multi(points, targets, match_tol: float = 1e-8) -> SectorTarge
     targets = tuple(targets)
     for rank, point in enumerate(points):
         if all(abs(c - t) <= match_tol for c, t in zip(point.charges, targets)):
-            return SectorTarget(charge=targets[0], index=rank, energy=point.energy)
+            return SectorTarget(targets[0], rank, point.energy, targets)
     raise EmptySector(f"no eigenstate with charges {targets} (tol {match_tol})")
 
 

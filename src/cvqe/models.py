@@ -20,6 +20,8 @@ penalty coefficients.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ParseError
@@ -63,6 +65,8 @@ def parse_pauli_sum(text: str, drop_tol: float = 1e-12) -> PauliSum:
             coefficient = float(tok0)
         except ValueError:
             raise ParseError(lineno, col0, f"malformed number {tok0!r}") from None
+        if not math.isfinite(coefficient):
+            raise ParseError(lineno, col0, f"non-finite coefficient {tok0!r}")
         axes: list[tuple[int, str]] = []
         seen: set[int] = set()
         for col, tok in tokens[1:]:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostSpec, PenaltyForm, evaluate_cost, pauli_ops_per_eval
+from .costs import CostBreakdown, CostSpec, PenaltyForm, evaluate_cost, pauli_ops_per_eval
 from .errors import NonFiniteCost, ParamCountMismatch
-from .simulator import AnsatzConfig, expectation, overlap_sq, prepare
+from .simulator import AnsatzConfig, expectation, prepare
 
 _ARMIJO_SLOPE = 1e-4
 _MIN_STEP = 1e-14
@@ -78,11 +78,15 @@ class CostEvaluator:
         self.evals = 0
 
     def value(self, params) -> float:
+        return self._measure(params).total
+
+    def _measure(self, params) -> CostBreakdown:
+        """One prepare-and-measure bundle."""
         self.evals += 1
-        total = evaluate_cost(self.spec, prepare(self.ansatz, params)).total
-        if not math.isfinite(total):
-            raise NonFiniteCost(f"cost evaluated to {total}")
-        return total
+        breakdown = evaluate_cost(self.spec, prepare(self.ansatz, params))
+        if not math.isfinite(breakdown.total):
+            raise NonFiniteCost(f"cost evaluated to {breakdown.total}")
+        return breakdown
 
     def gradient(self, params, kind: str = "parameter_shift", fd_step: float = 1e-6):
         params = np.asarray(params, dtype=float)
@@ -90,69 +94,43 @@ class CostEvaluator:
             raise ParamCountMismatch(
                 f"expected {self.ansatz.parameter_count} parameters, got {params.shape}"
             )
+        grad = np.empty_like(params)
         if kind == "central_difference":
-            return self._central_difference(params, fd_step)
+            for k, plus, minus in _shifted(params, fd_step, self.value):
+                grad[k] = (plus - minus) / (2 * fd_step)
+            return grad
         if kind != "parameter_shift":
             raise ValueError(f"unknown gradient kind {kind!r}")
         if self.spec.form is PenaltyForm.OPERATOR:
             # The whole cost (deflation projectors included) is a single
             # expectation of a fixed operator, so the shift rule applies to
             # the full scalar.
-            grad = np.empty_like(params)
-            for k in range(params.size):
-                shifted = params.copy()
-                shifted[k] += np.pi / 2
-                plus = self.value(shifted)
-                shifted[k] -= np.pi
-                minus = self.value(shifted)
+            for k, plus, minus in _shifted(params, np.pi / 2, self.value):
                 grad[k] = 0.5 * (plus - minus)
             return grad
-        return self._expectation_form_shift(params)
-
-    def _central_difference(self, params, step):
-        grad = np.empty_like(params)
-        for k in range(params.size):
-            shifted = params.copy()
-            shifted[k] += step
-            plus = self.value(shifted)
-            shifted[k] -= 2 * step
-            minus = self.value(shifted)
-            grad[k] = (plus - minus) / (2 * step)
-        return grad
-
-    def _bundle(self, params):
-        """One prepare+measure pass: (<H>, per-constraint <C_l>, deflation)."""
-        self.evals += 1
-        spec = self.spec
-        state = prepare(self.ansatz, params)
-        energy = spec._expect(spec.hamiltonian, state)
-        charges = [spec._expect(c.observable, state) for c in spec.constraints]
-        deflation = sum(beta * overlap_sq(prev, state) for prev, beta in spec.deflation)
-        return energy, charges, deflation
-
-    def _expectation_form_shift(self, params):
-        base_energy, base_charges, _ = self._bundle(params)
-        del base_energy
-        grad = np.empty_like(params)
-        for k in range(params.size):
-            shifted = params.copy()
-            shifted[k] += np.pi / 2
-            e_p, c_p, d_p = self._bundle(shifted)
-            shifted[k] -= np.pi
-            e_m, c_m, d_m = self._bundle(shifted)
-            g = 0.5 * (e_p - e_m) + 0.5 * (d_p - d_m)
-            for constraint, base, plus, minus in zip(
-                self.spec.constraints, base_charges, c_p, c_m
+        # Squared-expectation form: shift rule on <H>, the overlaps and each
+        # <C_l>, chained through d/dx mu (<C> - c)^2 = 2 mu (<C> - c) d<C>/dx.
+        base = self._measure(params).measured
+        for k, plus, minus in _shifted(params, np.pi / 2, self._measure):
+            g = 0.5 * (plus.energy_part - minus.energy_part) + 0.5 * (
+                plus.deflation_part - minus.deflation_part
+            )
+            for constraint, at, c_p, c_m in zip(
+                self.spec.constraints, base, plus.measured, minus.measured
             ):
-                g += (
-                    2.0
-                    * constraint.coefficient
-                    * (base - constraint.target)
-                    * 0.5
-                    * (plus - minus)
-                )
+                g += 2.0 * constraint.coefficient * (at - constraint.target) * 0.5 * (c_p - c_m)
             grad[k] = g
         return grad
+
+
+def _shifted(params, step, measure):
+    """Yield ``(k, measure(x + step e_k), measure(x - step e_k))`` for each k."""
+    for k in range(params.size):
+        shifted = params.copy()
+        shifted[k] += step
+        plus = measure(shifted)
+        shifted[k] -= 2 * step
+        yield k, plus, measure(shifted)
 
 
 def gradient(
@@ -368,22 +346,33 @@ class TrialSummary:
     best_cost: float
 
 
+def initial_params(master_seed: int, ansatz: AnsatzConfig, n_seeds: int) -> list[np.ndarray]:
+    """Uniform [0, 2pi) start parameters for each seed.
+
+    Each seed draws from its own RNG stream spawned from ``master_seed``,
+    so seed ``i`` starts from the same point however it is re-run.
+    """
+    children = np.random.SeedSequence(master_seed).spawn(n_seeds)
+    return [
+        np.random.default_rng(child).uniform(0.0, 2.0 * np.pi, ansatz.parameter_count)
+        for child in children
+    ]
+
+
 def run_trials(
     spec: CostSpec, ansatz: AnsatzConfig, config: OptimizerConfig, n_seeds: int
 ) -> tuple[list[OptimizationRecord], TrialSummary]:
     """Independent restarts from uniform [0, 2pi) initial parameters.
 
-    Per-seed RNG streams are spawned from ``config.seed``, so results are
-    bitwise reproducible for a fixed master seed.
+    Start points come from :func:`initial_params` with ``config.seed``, so
+    results are bitwise reproducible for a fixed master seed.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    children = np.random.SeedSequence(config.seed).spawn(n_seeds)
-    records = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        x0 = rng.uniform(0.0, 2.0 * np.pi, ansatz.parameter_count)
-        records.append(minimize(spec, ansatz, config, x0))
+    records = [
+        minimize(spec, ansatz, config, x0)
+        for x0 in initial_params(config.seed, ansatz, n_seeds)
+    ]
     n_constraints = len(spec.constraints)
     mean_residuals = tuple(
         float(np.mean([r.constraint_residuals[i] for r in records]))

@@ -40,22 +40,28 @@ class PenaltyConstraint:
             raise ValueError("distinct-eigenvalue gap must be positive")
 
 
-def exact_coefficient(points, target: SectorTarget, match_tol: float = 1e-8) -> float:
-    """Tight penalty threshold from the simultaneous spectrum.
+def exact_coefficient(
+    points, target: SectorTarget, match_tol: float = 1e-8, constraint: int = 0
+) -> float:
+    """Tight threshold ``max_i (E_target - E_i) / (C_i - c)^2`` for one constraint.
 
-    Returns 0 when the target is the global ground state (no lower-lying
-    states to penalize, so any positive coefficient works).
+    The max runs over the states below the target.  A state that already
+    matches this constraint's target is skipped, since another constraint's
+    penalty lifts it; one that matches every target raises
+    :class:`InconsistentTarget`.  Returns 0 when the target is the global
+    ground state (no lower-lying states, so any positive coefficient works).
     """
-    if target.index == 0:
-        return 0.0
+    targets = target.charges or (target.charge,)
     best = 0.0
     for point in points[: target.index]:
-        gap_c = point.charge - target.charge
-        if abs(gap_c) <= match_tol:
+        gaps = [charge - t for charge, t in zip(point.charges, targets)]
+        if all(abs(gap) <= match_tol for gap in gaps):
             raise InconsistentTarget(
-                f"state below index {target.index} already has charge {target.charge}"
+                f"state below index {target.index} already has charges {targets}"
             )
-        best = max(best, (target.energy - point.energy) / gap_c**2)
+        gap_c = gaps[constraint]
+        if abs(gap_c) > match_tol:
+            best = max(best, (target.energy - point.energy) / gap_c**2)
     return float(best)
 
 

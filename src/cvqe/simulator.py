@@ -102,30 +102,6 @@ class NoiseModel:
             raise InvalidProbability(f"depolarizing probability {self.p} outside [0, 1)")
 
 
-def _apply_ry(amps: np.ndarray, qubit: int, theta: float, n: int) -> np.ndarray:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    view = amps.reshape(2 ** (n - 1 - qubit), 2, 2**qubit)
-    a0 = view[:, 0, :].copy()
-    a1 = view[:, 1, :]
-    # exp(i t Y / 2) = [[c, s], [-s, c]]
-    view[:, 0, :] = c * a0 + s * a1
-    view[:, 1, :] = -s * a0 + c * a1
-    return amps
-
-
-def _apply_rz(amps: np.ndarray, qubit: int, theta: float, n: int) -> np.ndarray:
-    phase = np.exp(0.5j * theta)
-    view = amps.reshape(2 ** (n - 1 - qubit), 2, 2**qubit)
-    view[:, 0, :] *= phase
-    view[:, 1, :] *= np.conj(phase)
-    return amps
-
-
-def _apply_cz_chain(amps: np.ndarray, n: int) -> np.ndarray:
-    amps *= _cz_chain_signs(n)
-    return amps
-
-
 @lru_cache(maxsize=32)
 def _cz_chain_signs(n: int) -> np.ndarray:
     idx = np.arange(2**n)
@@ -220,18 +196,6 @@ def expectation(op: PauliSum, state: StateVector) -> float:
     return float(weights @ per_term)
 
 
-def apply_operator(op: PauliSum, state: StateVector) -> StateVector:
-    """O|psi> as a (generally unnormalized) vector; used by oracles and tests."""
-    if op.qubit_count != state.qubit_count:
-        raise DimensionMismatch("operator/state qubit counts differ")
-    psi = state.amplitudes
-    out = np.zeros_like(psi)
-    perms, phases, weights = _compiled(op)
-    for row in range(weights.size):
-        out[perms[row]] += weights[row] * phases[row] * psi
-    return StateVector(out, state.qubit_count)
-
-
 def overlap_sq(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2."""
     if a.qubit_count != b.qubit_count:
@@ -239,16 +203,12 @@ def overlap_sq(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def maximally_mixed_expectation(op: PauliSum) -> float:
-    """tr(O)/2^n, the expectation in the fully depolarized state."""
-    return op.identity_coefficient
-
-
 def noisy_expectation(op: PauliSum, state: StateVector, noise: NoiseModel) -> float:
     """Expectation after the global depolarizing channel.
 
-    Exactly ``(1-p) <O> + p tr(O)/2^n``; affine in p, which is what makes
-    the squared-operator penalty's argmin noise-invariant.
+    Exactly ``(1-p) <O> + p tr(O)/2^n``, where ``tr(O)/2^n`` is the identity
+    coefficient of O; affine in p, which is what makes the squared-operator
+    penalty's argmin noise-invariant.
     """
     pure = expectation(op, state)
-    return (1.0 - noise.p) * pure + noise.p * maximally_mixed_expectation(op)
+    return (1.0 - noise.p) * pure + noise.p * op.identity_coefficient

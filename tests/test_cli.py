@@ -418,3 +418,28 @@ class TestArgumentErrors:
         assert run_cli([
             "vqe", "--hamiltonian", "builtin:heisenberg:2", "--constraint", "sz",
         ]) == 1
+
+    @pytest.mark.parametrize(
+        "name",
+        ["reference_state", "zero_seeds", "negative_depth", "one_site_chain",
+         "string_depth_in_config", "nan_coefficient"],
+    )  # fmt: skip
+    def test_bad_input_is_one_error_line(self, name, tmp_path, capsys):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"hamiltonian": "builtin:heisenberg:2", "depth": "3"}))
+        nan_file = tmp_path / "nan.psum"
+        nan_file.write_text("qubits 1\nnan Z0\n")
+        vqe = ["vqe", "--hamiltonian", "builtin:heisenberg:2"]
+        argv = {
+            "reference_state": [*vqe, "--reference-state", "012"],
+            "zero_seeds": [*vqe, "--seeds", 0],
+            "negative_depth": [*vqe, "--depth", -1],
+            "one_site_chain": ["spectrum", "--hamiltonian", "builtin:heisenberg:1"],
+            "string_depth_in_config": ["vqe", "--config", config],
+            "nan_coefficient": ["spectrum", "--hamiltonian", nan_file],
+        }[name]
+        code = run_cli(argv)  # an escaping exception fails the test with its traceback
+        err = capsys.readouterr().err
+        assert code in (1, 2)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err

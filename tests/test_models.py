@@ -62,6 +62,12 @@ class TestParser:
         with pytest.raises(ParseError, match="malformed number"):
             parse_pauli_sum("qubits 1\nabc Z0\n")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_coefficient(self, token):
+        with pytest.raises(ParseError, match="non-finite") as err:
+            parse_pauli_sum(f"qubits 1\n0.5 Z0\n  {token} Z0\n")
+        assert (err.value.line, err.value.column) == (3, 3)
+
     def test_missing_header(self):
         with pytest.raises(ParseError, match="header"):
             parse_pauli_sum("0.5 Z0\n")

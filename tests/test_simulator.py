@@ -14,7 +14,6 @@ from cvqe import (
     prepare,
 )
 from cvqe.errors import DimensionMismatch, InvalidProbability, ParamCountMismatch
-from cvqe.simulator import _apply_cz_chain, _apply_ry, _apply_rz
 from helpers import dense_oracle, random_pauli_sum, random_state
 
 
@@ -91,22 +90,6 @@ class TestPrepare:
     def test_param_count_mismatch(self):
         with pytest.raises(ParamCountMismatch):
             prepare(AnsatzConfig(qubit_count=2, depth=1), np.zeros(5))
-
-    def test_gate_helpers_preserve_norm(self):
-        # 10^4 random single gates on a 3-qubit register
-        rng = np.random.default_rng(12)
-        amps = random_state(rng, 3)
-        for _ in range(10_000):
-            kind = rng.integers(0, 3)
-            q = int(rng.integers(0, 3))
-            theta = float(rng.uniform(0, 2 * np.pi))
-            if kind == 0:
-                _apply_ry(amps, q, theta, 3)
-            elif kind == 1:
-                _apply_rz(amps, q, theta, 3)
-            else:
-                _apply_cz_chain(amps, 3)
-        assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
 
 
 class TestExpectation:
