@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import types
 import typing
@@ -119,15 +120,27 @@ class ExperimentConfig:
     retry_on_miss: int = 0
 
 
+def _number(text: str, name: str) -> float:
+    """``float(text)``; a non-number, NaN or infinity is a config error naming ``name``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {text!r}")
+    return value
+
+
+def _numbers(text: str, name: str) -> list[float]:
+    return [_number(v, name) for v in text.split(",") if v.strip()]
+
+
 def _parse_constraint(text: str) -> ConstraintRequest:
     head, _, policy_text = text.partition(":mu=")
     source, eq, target_text = head.rpartition("=")
     if not eq or not source:
         raise ConfigError(f"constraint {text!r} must look like <name|path>=<c>[:mu=...]")
-    try:
-        target = float(target_text)
-    except ValueError:
-        raise ConfigError(f"constraint target {target_text!r} is not a number") from None
+    target = _number(target_text, f"constraint {text!r}: the target c")
     if not policy_text:
         return ConstraintRequest(source, target, "auto-simple")
     if policy_text.startswith("auto-ce"):
@@ -135,18 +148,16 @@ def _parse_constraint(text: str) -> ConstraintRequest:
         if inline:
             if not (inline.startswith("(") and inline.endswith(")")):
                 raise ConfigError(f"bad auto-ce arguments in {text!r}")
-            try:
-                e_t, e_0 = (float(v) for v in inline[1:-1].split(","))
-            except ValueError:
-                raise ConfigError(f"bad auto-ce arguments in {text!r}") from None
-            return ConstraintRequest(source, target, "auto-ce", ce_estimates=(e_t, e_0))
+            estimates = _numbers(inline[1:-1], f"constraint {text!r}: each auto-ce estimate")
+            if len(estimates) != 2:
+                raise ConfigError(f"bad auto-ce arguments in {text!r}")
+            return ConstraintRequest(source, target, "auto-ce", ce_estimates=tuple(estimates))
         return ConstraintRequest(source, target, "auto-ce")
     if policy_text in _MU_POLICIES:
         return ConstraintRequest(source, target, policy_text)
-    try:
-        value = float(policy_text)
-    except ValueError:
-        raise ConfigError(f"unknown mu policy {policy_text!r}") from None
+    if policy_text.startswith("auto-"):
+        raise ConfigError(f"unknown mu policy {policy_text!r}")
+    value = _number(policy_text, f"constraint {text!r}: mu")
     if value < 0:
         raise ConfigError("explicit mu must be >= 0")
     return ConstraintRequest(source, target, "value", value=value)
@@ -155,8 +166,21 @@ def _parse_constraint(text: str) -> ConstraintRequest:
 def _constraint_from_json(entry) -> ConstraintRequest:
     if isinstance(entry, str):
         return _parse_constraint(entry)
-    if not (isinstance(entry, dict) and isinstance(entry.get("observable"), str) and "c" in entry):
-        raise ConfigError(f"constraint {entry!r} needs a string 'observable' and a 'c'")
+    if not (isinstance(entry, dict) and "observable" in entry and "c" in entry):
+        raise ConfigError(f"constraint {entry!r} needs an 'observable' and a 'c'")
+    hints = typing.get_type_hints(ConstraintRequest)
+    expected = {  # entry key -> the annotation its JSON value must match
+        "observable": hints["source"],
+        "c": hints["target"],
+        "mu": str | float,  # a policy name or an explicit weight
+        "ce_estimates": hints["ce_estimates"],
+    }
+    for key, value in entry.items():
+        if key not in expected:
+            raise ConfigError(f"unknown constraint key {key!r}")
+        if not _json_matches(value, expected[key]):
+            hint = getattr(expected[key], "__name__", expected[key])
+            raise ConfigError(f"constraint key {key!r} must be {hint}, got {value!r}")
     source = entry["observable"]
     target = float(entry["c"])
     policy = str(entry.get("mu", "auto-simple"))
@@ -169,7 +193,7 @@ def _constraint_from_json(entry) -> ConstraintRequest:
 
 
 def _json_matches(value, hint) -> bool:
-    """Whether a JSON value fits an ExperimentConfig field annotation."""
+    """Whether a JSON value fits a config field annotation; floats must be finite."""
     if isinstance(hint, types.UnionType):
         return any(_json_matches(value, arm) for arm in typing.get_args(hint))
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -180,6 +204,8 @@ def _json_matches(value, hint) -> bool:
         return args[0] is ConstraintRequest or all(_json_matches(v, args[0]) for v in value)
     if hint is float:
         hint = (int, float)
+        if isinstance(value, float) and not math.isfinite(value):
+            return False  # a NaN or Infinity literal, which Python's json accepts
     return not isinstance(value, bool) and isinstance(value, hint)
 
 
@@ -226,16 +252,19 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.constraint:
         config.constraints = [_parse_constraint(text) for text in args.constraint]
     if args.mu_values is not None:
-        try:
-            config.mu_values = [float(v) for v in args.mu_values.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(f"bad --mu-values {args.mu_values!r}") from None
+        config.mu_values = _numbers(args.mu_values, "each --mu-values entry")
     if args.ce_estimates is not None:
-        try:
-            e_t, e_0 = (float(v) for v in args.ce_estimates.split(","))
-        except ValueError:
-            raise ConfigError(f"bad --ce-estimates {args.ce_estimates!r}") from None
-        config.ce_estimates = (e_t, e_0)
+        estimates = _numbers(args.ce_estimates, "each --ce-estimates entry")
+        if len(estimates) != 2:
+            raise ConfigError(f"--ce-estimates needs E_target,E_ground, got {args.ce_estimates!r}")
+        config.ce_estimates = tuple(estimates)
+    for key, name, low in (
+        ("seeds", "--seeds", 1),
+        ("depth", "--depth", 0),
+        ("max_iterations", "config key 'max_iterations'", 1),
+    ):
+        if getattr(config, key) < low:
+            raise ConfigError(f"{name} must be >= {low}, got {getattr(config, key)}")
     if config.hamiltonian is None:
         raise ConfigError("a Hamiltonian source is required (--hamiltonian or config)")
     if config.form not in ("f1", "f2"):
@@ -608,10 +637,9 @@ def _resolve_betas(workspace: Workspace, count: int) -> list[float]:
         except InvalidEstimate as exc:
             raise ConfigError(str(exc)) from exc
         return [beta] * count
-    try:
-        values = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"bad beta specification {text!r}") from None
+    values = _numbers(text, "each --beta entry")
+    if not values:
+        raise ConfigError(f"bad beta specification {text!r}")
     if len(values) == 1:
         return values * count
     if len(values) < count:
@@ -623,6 +651,7 @@ def cmd_vqd(config: ExperimentConfig) -> int:
     if config.levels < 1:
         raise ConfigError("vqd needs --levels >= 1")
     workspace = Workspace(config)
+    betas = _resolve_betas(workspace, config.levels)
     points = workspace.spectrum_points()
     constraints = workspace.penalty_constraints()
     # Ideal ladder: eigenstates ordered by their penalized energies.
@@ -634,7 +663,6 @@ def cmd_vqd(config: ExperimentConfig) -> int:
             for c, charge in zip(constraints, p.charges)
         ),
     )
-    betas = _resolve_betas(workspace, config.levels)
     header = ["level", *_TRIAL_HEADER_PREFIX[1:]]
     header += [f"residual_{name}" for name in workspace.observable_names]
     header += ["sector_miss", "max_overlap_previous", "seed"]

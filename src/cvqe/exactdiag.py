@@ -7,8 +7,11 @@ Hamiltonian eigenspaces are resolved by diagonalizing each observable
 restricted to the eigenspace (no magic-shift tricks), so (charge, energy)
 assignments are well defined even with exact degeneracies.
 
-Everything here is a correctness oracle, not a performance path; the
-default size cap of 12 qubits keeps the dense 4096^2 guarantee explicit.
+Dense matrices are scattered from each operator's compiled per-term rows
+(:attr:`cvqe.paulis.PauliSum.compiled`), the same rows the simulator's
+expectations read.  Everything here is a correctness oracle, not a
+performance path; the default size cap of 12 qubits keeps the dense
+4096^2 guarantee explicit.
 """
 
 from __future__ import annotations
@@ -23,25 +26,19 @@ from .simulator import StateVector
 
 ORACLE_QUBIT_LIMIT = 12
 
-_SINGLE = {
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-
 
 def dense_matrix(op: PauliSum) -> np.ndarray:
-    """2^n x 2^n matrix in the little-endian basis (qubit 0 = fastest bit)."""
-    n = op.qubit_count
-    dim = 2**n
+    """2^n x 2^n matrix in the little-endian basis (qubit 0 = fastest bit).
+
+    Scattered one term at a time in canonical order: each entry is then the
+    same sum of exact ``±w``/``±iw`` values as a per-term Kronecker product.
+    """
+    partners, phases, weights = op.compiled
+    dim = 2**op.qubit_count
     out = np.zeros((dim, dim), dtype=np.complex128)
-    eye = np.eye(2, dtype=np.complex128)
-    for term in op.terms:
-        axes = dict(term.axes)
-        mat = np.array([[term.coefficient]], dtype=np.complex128)
-        for q in range(n - 1, -1, -1):
-            mat = np.kron(mat, _SINGLE.get(axes.get(q), eye))
-        out += mat
+    columns = np.arange(dim)
+    for partner, phase, weight in zip(partners, phases, weights):
+        out[partner, columns] += weight * phase
     return out
 
 

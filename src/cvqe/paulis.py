@@ -11,13 +11,20 @@ exposed :class:`PauliSum` is Hermitian and deterministic to serialize.
 Complex phases appear only transiently: single-term products such as
 ``X0 * Y0 = i Z0`` carry their phase in the returned term, and sums with
 non-cancelling phases are rejected at canonicalization.
+
+Each sum owns its one numeric form, :attr:`PauliSum.compiled`: per-term rows
+of basis partners and phases (bit ``k`` of an index is qubit ``k``), read by
+both the simulator's expectations and the oracle's dense matrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import DimensionMismatch, HermiticityError
 
@@ -123,7 +130,8 @@ class PauliSum:
     magnitude below ``drop_tol`` are removed, terms are sorted by axes, and
     a residual imaginary part above ``drop_tol`` raises
     :class:`~cvqe.errors.HermiticityError`.  Instances are immutable and
-    hashable, so they can be shared freely and used as cache keys.
+    hashable, so they can be shared freely; each builds its
+    :attr:`compiled` rows at most once.
     """
 
     terms: tuple[PauliTerm, ...]
@@ -161,6 +169,30 @@ class PauliSum:
 
     def non_identity_term_count(self) -> int:
         return sum(1 for t in self.terms if not t.is_identity)
+
+    @cached_property
+    def compiled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-term rows ``(partners, phases, weights)``, built on first use.
+
+        Term ``t`` (canonical order) maps ``|j>`` to
+        ``weights[t] * phases[t, j] |partners[t, j]>``.
+        """
+        dim = 2**self.qubit_count
+        idx = np.arange(dim)
+        count = len(self.terms)
+        partners = np.empty((count, dim), dtype=np.intp)
+        phases = np.empty((count, dim), dtype=np.complex128)
+        weights = np.empty(count)
+        # z_signs[q, j]: eigenvalue of Z_q on |j>, +1 or -1 exactly
+        z_signs = 1.0 - 2.0 * ((idx >> np.arange(self.qubit_count)[:, None]) & 1)
+        for row, term in enumerate(self.terms):
+            x_mask = sum(1 << q for q, axis in term.axes if axis != "Z")
+            zy_qubits = [q for q, axis in term.axes if axis != "X"]
+            n_y = sum(axis == "Y" for _, axis in term.axes)
+            partners[row] = idx ^ x_mask
+            phases[row] = (1j**n_y) * np.prod(z_signs[zy_qubits], axis=0)
+            weights[row] = term.coefficient.real
+        return partners, phases, weights
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         self._check_dim(other)

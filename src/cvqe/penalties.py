@@ -17,6 +17,7 @@ is the global ground state the max above runs over an empty set; we return
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InconsistentTarget, InvalidEstimate, NotCommuting
@@ -34,6 +35,8 @@ class PenaltyConstraint:
     min_gap: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.target) and math.isfinite(self.coefficient)):
+            raise ValueError("penalty target and coefficient must be finite")
         if self.coefficient < 0:
             raise ValueError("penalty coefficient must be >= 0")
         if self.min_gap <= 0:

@@ -13,6 +13,8 @@ Conventions (fixed so results reproduce bit-for-bit):
   ``R_Y`` angle of qubit ``q`` and ``params[2nl + n + q]`` the ``R_Z``
   angle, so ``parameter_count = 2 n (depth + 1)``.
 
+Expectations read the per-term rows each operator compiles once
+(:attr:`cvqe.paulis.PauliSum.compiled`).
 Depolarizing noise is handled analytically on expectation values
 (mixing with trace(O)/2^n), never by density-matrix simulation.
 """
@@ -147,52 +149,17 @@ def prepare(ansatz: AnsatzConfig, params) -> StateVector:
     return state
 
 
-def _parity(values: np.ndarray) -> np.ndarray:
-    v = values.copy()
-    for shift in (16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return v & 1
-
-
-@lru_cache(maxsize=128)
-def _compiled(op: PauliSum):
-    """Stacked (permutations, phase vectors, weights) for fast expectations."""
-    n = op.qubit_count
-    dim = 2**n
-    idx = np.arange(dim)
-    count = len(op.terms)
-    perms = np.empty((count, dim), dtype=np.intp)
-    phases = np.empty((count, dim), dtype=np.complex128)
-    weights = np.empty(count)
-    for row, term in enumerate(op.terms):
-        x_mask = 0
-        zy_mask = 0
-        n_y = 0
-        for q, axis in term.axes:
-            if axis in ("X", "Y"):
-                x_mask |= 1 << q
-            if axis in ("Z", "Y"):
-                zy_mask |= 1 << q
-            if axis == "Y":
-                n_y += 1
-        signs = 1.0 - 2.0 * _parity(idx & zy_mask)
-        perms[row] = idx ^ x_mask
-        phases[row] = (1j**n_y) * signs
-        weights[row] = term.coefficient.real
-    return perms, phases, weights
-
-
 def expectation(op: PauliSum, state: StateVector) -> float:
     """<psi|O|psi> for a canonical Hermitian sum; exact up to float rounding."""
     if op.qubit_count != state.qubit_count:
         raise DimensionMismatch(
             f"operator on {op.qubit_count} qubits, state on {state.qubit_count}"
         )
-    perms, phases, weights = _compiled(op)
+    partners, phases, weights = op.compiled
     if weights.size == 0:
         return 0.0
     psi = state.amplitudes
-    per_term = np.real(np.sum(np.conj(psi[perms]) * phases * psi, axis=1))
+    per_term = np.real(np.sum(np.conj(psi[partners]) * phases * psi, axis=1))
     return float(weights @ per_term)
 
 

@@ -422,24 +422,59 @@ class TestArgumentErrors:
     @pytest.mark.parametrize(
         "name",
         ["reference_state", "zero_seeds", "negative_depth", "one_site_chain",
-         "string_depth_in_config", "nan_coefficient"],
+         "string_depth_in_config", "nan_coefficient", "nan_mu", "inf_mu", "nan_target",
+         "nan_mu_values", "nan_auto_ce", "nan_beta", "nan_ce_estimates",
+         "int_ce_estimates_in_config", "string_c_in_config", "nan_literal_in_config",
+         "zero_max_iterations_in_config"],
     )  # fmt: skip
     def test_bad_input_is_one_error_line(self, name, tmp_path, capsys):
-        config = tmp_path / "exp.json"
-        config.write_text(json.dumps({"hamiltonian": "builtin:heisenberg:2", "depth": "3"}))
+        def config(stem, **fields):
+            path = tmp_path / f"{stem}.json"
+            path.write_text(json.dumps({"hamiltonian": "builtin:heisenberg:2", **fields}))
+            return path
+
         nan_file = tmp_path / "nan.psum"
         nan_file.write_text("qubits 1\nnan Z0\n")
         vqe = ["vqe", "--hamiltonian", "builtin:heisenberg:2"]
-        argv = {
-            "reference_state": [*vqe, "--reference-state", "012"],
-            "zero_seeds": [*vqe, "--seeds", 0],
-            "negative_depth": [*vqe, "--depth", -1],
-            "one_site_chain": ["spectrum", "--hamiltonian", "builtin:heisenberg:1"],
-            "string_depth_in_config": ["vqe", "--config", config],
-            "nan_coefficient": ["spectrum", "--hamiltonian", nan_file],
+        constraint = {"observable": "sz", "c": 1, "mu": "auto-ce"}
+        # argv, and the flag or key the one error line must name
+        argv, flag_or_key = {
+            "reference_state": ([*vqe, "--reference-state", "012"], "reference"),
+            "zero_seeds": ([*vqe, "--seeds", 0], "--seeds"),
+            "negative_depth": ([*vqe, "--depth", -1], "--depth"),
+            "one_site_chain": (["spectrum", "--hamiltonian", "builtin:heisenberg:1"], "chain"),
+            "string_depth_in_config": (["vqe", "--config", config("depth", depth="3")], "'depth'"),
+            "nan_coefficient": (["spectrum", "--hamiltonian", nan_file], "line 2"),
+            "nan_mu": ([*vqe, "--constraint", "sz=1:mu=nan"], "mu must"),
+            "inf_mu": ([*vqe, "--constraint", "sz=1:mu=inf"], "mu must"),
+            "nan_target": ([*vqe, "--constraint", "sz=nan"], "target c"),
+            "nan_mu_values": (
+                ["scan-mu", *vqe[1:], "--constraint", "sz=1", "--mu-values", "nan"],
+                "--mu-values",
+            ),
+            "nan_auto_ce": ([*vqe, "--constraint", "sz=1:mu=auto-ce(nan,0)"], "auto-ce"),
+            "nan_beta": (["vqd", *vqe[1:], "--beta", "nan"], "--beta"),
+            "nan_ce_estimates": ([*vqe, "--ce-estimates", "nan,0"], "--ce-estimates"),
+            "int_ce_estimates_in_config": (
+                ["vqe", "--config", config("ce", constraints=[{**constraint, "ce_estimates": 5}])],
+                "'ce_estimates'",
+            ),
+            "string_c_in_config": (
+                ["vqe", "--config", config("c", constraints=[{**constraint, "c": "x"}])],
+                "'c'",
+            ),
+            "nan_literal_in_config": (
+                ["scan-mu", "--config", config("mu", mu_values=[float("nan")]),
+                 "--constraint", "sz=1"],
+                "'mu_values'",
+            ),
+            "zero_max_iterations_in_config": (
+                ["vqe", "--config", config("iterations", max_iterations=0)], "'max_iterations'",
+            ),
         }[name]
         code = run_cli(argv)  # an escaping exception fails the test with its traceback
         err = capsys.readouterr().err
-        assert code in (1, 2)
+        assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert flag_or_key in err, err
         assert "Traceback" not in err
