@@ -392,12 +392,10 @@ class Workspace:
     def penalty_constraints(self, coefficient_override: float | None = None):
         constraints = []
         for index, observable in enumerate(self.observables):
-            if coefficient_override is not None:
-                coefficient = coefficient_override
-            else:
-                coefficient = self.resolve_coefficient(index)
-                if coefficient == 0.0:
-                    coefficient = 1.0  # ground-sector target: any positive weight works
+            coefficient = coefficient_override
+            if coefficient is None:
+                # 0 means a ground-sector target: any positive weight works
+                coefficient = self.resolve_coefficient(index) or 1.0
             constraints.append(
                 PenaltyConstraint(
                     observable=observable,
@@ -430,11 +428,11 @@ class Workspace:
     def noise(self) -> NoiseModel | None:
         return NoiseModel(self.config.noise_p) if self.config.noise_p else None
 
-    def cost_spec(self, form: str | None = None, coefficient_override=None, deflation=()):
+    def cost_spec(self, constraints, form: str | None = None, deflation=()):
         form = form or self.config.form
         return CostSpec(
             hamiltonian=self.hamiltonian,
-            constraints=self.penalty_constraints(coefficient_override),
+            constraints=constraints,
             form=PenaltyForm.OPERATOR if form == "f1" else PenaltyForm.EXPECTATION,
             deflation=tuple(deflation),
             noise=self.noise(),
@@ -544,7 +542,7 @@ _TRIAL_HEADER_PREFIX = [
 def cmd_vqe(config: ExperimentConfig) -> int:
     workspace = Workspace(config)
     e_reference, _ = workspace.sector_target()
-    spec = workspace.cost_spec()
+    spec = workspace.cost_spec(workspace.penalty_constraints())
     records, _ = run_trials(
         spec, workspace.ansatz(), workspace.optimizer_config(), config.seeds
     )
@@ -599,8 +597,9 @@ def cmd_scan_mu(config: ExperimentConfig) -> int:
     ]
     rows = []
     for mu in config.mu_values:
+        constraints = workspace.penalty_constraints(mu)
         for form in ("f1", "f2"):
-            spec = workspace.cost_spec(form=form, coefficient_override=mu)
+            spec = workspace.cost_spec(constraints, form=form)
             records, summary = run_trials(
                 spec, workspace.ansatz(), workspace.optimizer_config(), config.seeds
             )
@@ -671,7 +670,7 @@ def cmd_vqd(config: ExperimentConfig) -> int:
     ansatz = workspace.ansatz()
     for level in range(config.levels + 1):
         deflation = tuple((state, betas[i]) for i, state in enumerate(found_states))
-        spec = workspace.cost_spec(deflation=deflation)
+        spec = workspace.cost_spec(constraints, deflation=deflation)
         records, summary = run_trials(
             spec, ansatz, workspace.optimizer_config(), config.seeds
         )

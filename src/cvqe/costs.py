@@ -5,11 +5,11 @@ One formula, :func:`evaluate_cost`, serves both penalty forms::
     total = <H> + sum_l penalty_l + sum_i beta_i |<psi_i|psi>|^2
 
 * ``PenaltyForm.OPERATOR`` measures ``m_l = <(C_l - c_l)^2>`` (the squared
-  *operator*; the shifted squares are built at spec construction) and adds
-  ``penalty_l = mu_l m_l``.
+  *operator*, the constraint's own :attr:`PenaltyConstraint.square`) and
+  adds ``penalty_l = mu_l m_l``.
 * ``PenaltyForm.EXPECTATION`` measures ``m_l = <C_l>`` and adds
   ``penalty_l = mu_l (m_l - c_l)^2``; the gradient's chain rule reads the
-  ``m_l`` from the breakdown.
+  ``m_l`` from the breakdown.  Building such a spec builds no square.
 
 Deflation terms ``beta_i |<psi_i|psi>|^2`` target excited states.  With a
 depolarizing noise model attached, Hamiltonian and constraint expectations
@@ -21,10 +21,11 @@ it further would be guesswork).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from .errors import DimensionMismatch, PenaltyFormError
-from .paulis import PauliSum, square_shifted, trace
+from .paulis import PauliSum, trace
 from .penalties import PenaltyConstraint
 from .simulator import NoiseModel, StateVector, expectation, noisy_expectation, overlap_sq
 
@@ -43,7 +44,6 @@ class CostSpec:
     form: PenaltyForm = PenaltyForm.OPERATOR
     deflation: tuple[tuple[StateVector, float], ...] = ()
     noise: NoiseModel | None = None
-    penalty_operators: tuple[PauliSum, ...] = field(init=False, repr=False, compare=False)
     _measured_ops: tuple[PauliSum, ...] = field(init=False, repr=False, compare=False)
     _ops_per_eval: int = field(init=False, repr=False, compare=False)
 
@@ -57,15 +57,10 @@ class CostSpec:
         for state, beta in self.deflation:
             if state.qubit_count != n:
                 raise DimensionMismatch("deflation state qubit count differs from H")
-            if beta <= 0:
-                raise ValueError("deflation weights must be positive")
-        squares = tuple(
-            square_shifted(constraint.observable, constraint.target)
-            for constraint in self.constraints
-        )
-        object.__setattr__(self, "penalty_operators", squares)
+            if not (math.isfinite(beta) and beta > 0):
+                raise ValueError("deflation weights must be positive and finite")
         if self.form is PenaltyForm.OPERATOR:
-            measured = squares
+            measured = tuple(constraint.square for constraint in self.constraints)
         else:
             measured = tuple(constraint.observable for constraint in self.constraints)
         object.__setattr__(self, "_measured_ops", measured)
@@ -88,7 +83,6 @@ class CostBreakdown:
     energy_part: float
     penalty_parts: tuple[float, ...]
     deflation_part: float
-    pauli_ops_per_eval: int
     measured: tuple[float, ...]  # per constraint: <(C-c)^2> (operator form) or <C>
 
 
@@ -118,7 +112,7 @@ def evaluate_cost(spec: CostSpec, state: StateVector) -> CostBreakdown:
         )
     deflation = sum(beta * overlap_sq(prev, state) for prev, beta in spec.deflation)
     total = energy + sum(penalties) + deflation
-    return CostBreakdown(total, energy, penalties, deflation, pauli_ops_per_eval(spec), measured)
+    return CostBreakdown(total, energy, penalties, deflation, measured)
 
 
 def pauli_ops_per_eval(spec: CostSpec) -> int:
@@ -142,6 +136,6 @@ def depolarized_offset(spec: CostSpec) -> float:
         raise PenaltyFormError("offset identity applies to the squared-operator form")
     dim = 2**spec.qubit_count
     total = trace(spec.hamiltonian)
-    for constraint, square in zip(spec.constraints, spec.penalty_operators):
-        total += constraint.coefficient * trace(square)
+    for constraint in spec.constraints:
+        total += constraint.coefficient * trace(constraint.square)
     return total / dim

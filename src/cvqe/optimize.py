@@ -41,8 +41,8 @@ class OptimizerConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.gradient not in ("parameter_shift", "central_difference"):
             raise ValueError(f"unknown gradient kind {self.gradient!r}")
-        if self.grad_tol <= 0 or self.fd_step <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (self.grad_tol, self.fd_step)):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
 
@@ -160,7 +160,7 @@ def minimize(
         x, f, trace, nfev = _minimize_simplex(evaluator, config, x0)
         ngrad = 0
     state = prepare(ansatz, x)
-    residuals = tuple(expectation(square, state) for square in spec.penalty_operators)
+    residuals = tuple(expectation(c.square, state) for c in spec.constraints)
     return OptimizationRecord(
         best_params=x,
         best_cost=float(f),

@@ -87,9 +87,6 @@ class PauliTerm:
     def is_identity(self) -> bool:
         return not self.axes
 
-    def max_qubit(self) -> int:
-        return self.axes[-1][0] if self.axes else -1
-
     def __repr__(self) -> str:
         label = " ".join(f"{a}{q}" for q, a in self.axes) or "I"
         c = self.coefficient

@@ -19,15 +19,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InconsistentTarget, InvalidEstimate, NotCommuting
 from .exactdiag import SectorTarget, min_distinct_gap
-from .paulis import PauliSum, coefficient_norm, commutes
+from .paulis import PauliSum, coefficient_norm, commutes, square_shifted
+
+
+def _check_energies(e_target: float, e_ground: float, kind: str = "energy"):
+    # ``not finite`` first: every comparison with NaN is false.
+    if not (math.isfinite(e_target) and math.isfinite(e_ground)):
+        raise InvalidEstimate(f"{kind} values must be finite, got {e_target}, {e_ground}")
+    if e_target < e_ground:
+        raise InvalidEstimate(f"target {kind} {e_target} below ground {e_ground}")
 
 
 @dataclass(frozen=True)
 class PenaltyConstraint:
-    """Penalty term data: observable C, target eigenvalue, weight, gap metadata."""
+    """Penalty term data: observable C, target c, weight, gap; owns its (C - c)^2."""
 
     observable: PauliSum
     target: float
@@ -39,8 +48,13 @@ class PenaltyConstraint:
             raise ValueError("penalty target and coefficient must be finite")
         if self.coefficient < 0:
             raise ValueError("penalty coefficient must be >= 0")
-        if self.min_gap <= 0:
-            raise ValueError("distinct-eigenvalue gap must be positive")
+        if not (math.isfinite(self.min_gap) and self.min_gap > 0):
+            raise ValueError("distinct-eigenvalue gap must be positive and finite")
+
+    @cached_property
+    def square(self) -> PauliSum:
+        """``(C - c)^2``, built on first use; every spec and residual reads this one."""
+        return square_shifted(self.observable, self.target)
 
 
 def exact_coefficient(
@@ -70,10 +84,9 @@ def exact_coefficient(
 
 def simple_coefficient(e_target: float, e_ground: float, min_gap: float) -> float:
     """(E_target - E_ground) / gap^2; never below the exact threshold."""
-    if e_target < e_ground:
-        raise InvalidEstimate(f"target energy {e_target} below ground {e_ground}")
-    if min_gap <= 0:
-        raise InvalidEstimate("distinct-eigenvalue gap must be positive")
+    _check_energies(e_target, e_ground)
+    if not (math.isfinite(min_gap) and min_gap > 0):
+        raise InvalidEstimate("distinct-eigenvalue gap must be positive and finite")
     return (e_target - e_ground) / min_gap**2
 
 
@@ -83,8 +96,8 @@ def rough_coefficient(hamiltonian: PauliSum, min_gap: float) -> float:
     Uses the bound E_target - E_ground <= 2 ||H|| <= 2 sum_j |c_j|; always
     applicable but often too large for fast convergence.
     """
-    if min_gap <= 0:
-        raise InvalidEstimate("distinct-eigenvalue gap must be positive")
+    if not (math.isfinite(min_gap) and min_gap > 0):
+        raise InvalidEstimate("distinct-eigenvalue gap must be positive and finite")
     return 2.0 * coefficient_norm(hamiltonian) / min_gap**2
 
 
@@ -101,8 +114,7 @@ def multi_constraint_coefficients(
     observable's own smallest distinct-eigenvalue gap.  If a Hamiltonian is
     supplied, commutation is verified first.
     """
-    if e_target < e_ground:
-        raise InvalidEstimate(f"target energy {e_target} below ground {e_ground}")
+    _check_energies(e_target, e_ground)
     out = []
     for observable, target in constraints:
         if hamiltonian is not None and not commutes(hamiltonian, observable, 1e-10):
@@ -128,10 +140,7 @@ def vqd_beta_estimates(
     caller-supplied estimates; the second replaces the gap by its
     coefficient-norm upper bound.
     """
-    if e_target_estimate < e_ground_estimate:
-        raise InvalidEstimate(
-            f"target estimate {e_target_estimate} below ground {e_ground_estimate}"
-        )
+    _check_energies(e_target_estimate, e_ground_estimate, "estimate")
     beta_estimated = 2.0 * (e_target_estimate - e_ground_estimate)
     beta_rough = 4.0 * coefficient_norm(hamiltonian)
     return beta_estimated, beta_rough

@@ -6,6 +6,8 @@ checked by dominance properties, and simplex minima come from composition
 enumeration plus pairwise-transfer refinement.
 """
 
+import sys
+
 import numpy as np
 
 from cvqe import (
@@ -15,6 +17,7 @@ from cvqe import (
     build_s_squared,
     build_total_sz,
     build_z_parity,
+    square_shifted,
 )
 
 _I = np.eye(2, dtype=complex)
@@ -130,3 +133,22 @@ def brute_force_mixture_min(points, objective, steps: int = 10, refine_rounds: i
             if step < 1e-12:
                 break
     return best_val, w
+
+
+def count_square_builds(monkeypatch) -> list:
+    """Record every ``square_shifted`` call made by a ``cvqe`` module.
+
+    Each module that imported the name is patched, so the count is the one
+    its caller sees, wherever the call sits.  Returns the list of
+    ``(observable, shift)`` pairs, which grows as squares are built.
+    """
+    calls = []
+
+    def counted(observable, shift):
+        calls.append((observable, shift))
+        return square_shifted(observable, shift)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cvqe.") and getattr(module, "square_shifted", None) is square_shifted:
+            monkeypatch.setattr(module, "square_shifted", counted)
+    return calls

@@ -6,6 +6,7 @@ import pytest
 
 from cvqe import build_heisenberg_chain, diagonal_hamiltonian, serialize_pauli_sum
 from cvqe.cli import main
+from helpers import count_square_builds
 
 # Diagonal 3-qubit instance whose number-sector c=1 ground (energy 0) is
 # interior to the lower envelope: the N=0/N=3 corners mix to -4/3 at <N>=1.
@@ -233,6 +234,15 @@ class TestScanMu:
             "scan-mu", "--hamiltonian", "builtin:heisenberg:2", "--mu-values", "1",
         ]) == 1
 
+    def test_one_square_per_constraint(self, tmp_path, monkeypatch):
+        # both forms of a weight share the constraint, and f2 never builds it
+        builds = count_square_builds(monkeypatch)
+        assert run_cli([
+            "scan-mu", "--hamiltonian", "builtin:heisenberg:2", "--constraint", "sz=1",
+            "--mu-values", "1", "--depth", 1, "--seeds", 1, "--out", tmp_path / "scan.csv",
+        ]) == 0
+        assert len(builds) == 1
+
 
 class TestEnvelope:
     def test_boundary_target_tangent_rows(self, tmp_path):
@@ -331,6 +341,14 @@ class TestVqd:
         assert run_cli(args) == 0
         rows = read_rows(out)
         assert {r["level"] for r in rows} == {"0", "1", "2"}
+
+    def test_levels_share_one_square(self, tmp_path, monkeypatch):
+        builds = count_square_builds(monkeypatch)
+        assert run_cli([
+            "vqd", "--hamiltonian", "builtin:heisenberg:2", "--constraint", "sz=0",
+            "--levels", 2, "--depth", 1, "--seeds", 1, "--out", tmp_path / "vqd.csv",
+        ]) == 0
+        assert len(builds) == 1
 
 
 class TestPolicyResolution:

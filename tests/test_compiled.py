@@ -7,7 +7,7 @@ both are compared here with the independent Kronecker chain in
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cvqe import (
@@ -16,6 +16,7 @@ from cvqe import (
     StateVector,
     build_s_squared,
     coefficient_norm,
+    commutes,
     dense_matrix,
     expectation,
     square_shifted,
@@ -26,8 +27,8 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 
 @st.composite
-def pauli_sums(draw):
-    n = draw(st.integers(1, 6))
+def pauli_sums(draw, qubits=None):
+    n = qubits or draw(st.integers(1, 6))
     strings = st.dictionaries(st.integers(0, n - 1), st.sampled_from("XYZ"))
     terms = draw(st.lists(st.tuples(st.floats(-2.0, 2.0), strings), max_size=8))
     return PauliSum(tuple(PauliTerm(c, axes) for c, axes in terms), n)
@@ -48,6 +49,26 @@ def test_expectation_matches_dense_oracle(op, seed):
     exact = np.vdot(psi, dense_oracle(op) @ psi).real
     got = expectation(op, StateVector(psi, n))
     assert abs(got - exact) <= 1e-12 * max(1.0, coefficient_norm(op))
+
+
+@st.composite
+def pauli_pairs(draw):
+    """(A, B) on the same qubits; B is independent of A or a polynomial in it."""
+    a = draw(pauli_sums())
+    if draw(st.booleans()):
+        return a, draw(pauli_sums(a.qubit_count))
+    return a, square_shifted(a, draw(st.floats(-2.0, 2.0)))
+
+
+@PROPERTY
+@given(pauli_pairs())
+def test_commutes_matches_dense_commutator(pair):
+    a, b = pair
+    ma, mb = dense_oracle(a), dense_oracle(b)
+    # ||[A, B]||_F / 2^(n/2): the root-sum-square of the commutator's Pauli coefficients
+    r = np.linalg.norm(ma @ mb - mb @ ma) / 2 ** (a.qubit_count / 2)
+    assume(not 1e-11 <= r <= 1e-6)  # too close to the default tolerance to call
+    assert commutes(a, b) == (r < 1e-11)
 
 
 def test_compiled_is_built_once_per_instance():

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from cvqe import (
+    AnsatzConfig,
     CostSpec,
     NoiseModel,
+    OptimizerConfig,
     PauliSum,
     PauliTerm,
     PenaltyConstraint,
@@ -16,6 +18,7 @@ from cvqe import (
     build_number_operator,
     depolarized_offset,
     evaluate_cost,
+    minimize,
     pauli_ops_per_eval,
     simultaneous_spectrum,
     square_shifted,
@@ -23,7 +26,7 @@ from cvqe import (
 )
 from cvqe.costs import evaluate_expectation_penalty, evaluate_operator_penalty
 from cvqe.errors import DimensionMismatch, PenaltyFormError
-from helpers import dense_oracle, random_state
+from helpers import count_square_builds, dense_oracle, random_state
 
 # Two-level toy: states |0>, |1> carry (charge, energy) = (0, -2), (1, -1).
 TOY_H = PauliSum((PauliTerm(-1.5), PauliTerm(-0.5, ((0, "Z"),))), 1)
@@ -226,8 +229,40 @@ class TestValidation:
             )
 
     def test_nonpositive_beta_rejected(self):
-        with pytest.raises(ValueError):
-            CostSpec(
-                hamiltonian=build_heisenberg_chain(2),
-                deflation=((basis_state("00", 2), 0.0),),
-            )
+        for beta in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                CostSpec(
+                    hamiltonian=build_heisenberg_chain(2),
+                    deflation=((basis_state("00", 2), beta),),
+                )
+
+
+class TestConstraintOwnsSquare:
+    """Each PenaltyConstraint builds its (C - c)^2 once; specs and residuals share it."""
+
+    def test_expectation_spec_builds_no_square(self, monkeypatch):
+        builds = count_square_builds(monkeypatch)
+        constraint = PenaltyConstraint(build_s_squared(3), 0.75, 1.0, 0.75)
+        spec = CostSpec(
+            build_heisenberg_chain(3), (constraint,), form=PenaltyForm.EXPECTATION
+        )
+        assert pauli_ops_per_eval(spec) > 0
+        assert "square" not in vars(constraint)
+        assert builds == []
+
+    def test_one_square_serves_both_forms_and_residuals(self, monkeypatch):
+        builds = count_square_builds(monkeypatch)
+        h = build_heisenberg_chain(2)
+        constraint = PenaltyConstraint(build_total_sz(2), 1.0, 2.0, 0.5)
+        f1 = CostSpec(h, (constraint,))
+        f2 = CostSpec(h, (constraint,), form=PenaltyForm.EXPECTATION)
+        square = constraint.square
+        ansatz = AnsatzConfig(qubit_count=2, depth=1)
+        x0 = np.full(ansatz.parameter_count, 0.3)
+        for spec in (f1, f2):
+            record = minimize(spec, ansatz, OptimizerConfig(max_iterations=3), x0)
+            assert len(record.constraint_residuals) == 1
+        assert len(f1._measured_ops) == 1 and f1._measured_ops[0] is square
+        assert constraint.square is square
+        assert len(builds) == 1
+        assert square == square_shifted(build_total_sz(2), 1.0)

@@ -50,6 +50,12 @@ CASES = {
          "--depth", "1", "--seeds", "2", "--master-seed", "2"],
         None,
     ),
+    "vqd_constrained": (
+        ["vqd", "--hamiltonian", "builtin:heisenberg:3",
+         "--constraint", "sz=0.5:mu=auto-exact", "--levels", "2",
+         "--depth", "1", "--seeds", "2", "--master-seed", "3"],
+        None,
+    ),
     "envelope_noisy": (
         ["envelope", "--hamiltonian", "builtin:heisenberg:4", "--constraint", "sz=2",
          "--mu-values", "1,10,100", "--noise-p", "0.05"],

@@ -33,6 +33,14 @@ def sector_spec(mu=4.0, form=PenaltyForm.OPERATOR, noise=None):
     return CostSpec(hamiltonian=h, constraints=(constraint,), form=form, noise=noise)
 
 
+class TestOptimizerConfig:
+    @pytest.mark.parametrize("name", ["grad_tol", "fd_step"])
+    @pytest.mark.parametrize("value", [0.0, -1e-6, float("nan")])
+    def test_tolerances_must_be_positive(self, name, value):
+        with pytest.raises(ValueError):
+            OptimizerConfig(**{name: value})
+
+
 class TestGradient:
     def test_matches_central_difference_single_qubit(self):
         spec = CostSpec(hamiltonian=Z0)

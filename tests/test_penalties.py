@@ -4,6 +4,7 @@ import pytest
 from cvqe import (
     PauliSum,
     PauliTerm,
+    PenaltyConstraint,
     SectorTarget,
     build_heisenberg_chain,
     build_s_squared,
@@ -72,12 +73,26 @@ class TestSimpleAndRough:
         assert rough_coefficient(PauliSum((), 2), 1.0) == 0.0
 
     def test_invalid_estimates(self):
+        nan = float("nan")
         with pytest.raises(InvalidEstimate):
             simple_coefficient(-1.0, 0.0, 1.0)
         with pytest.raises(InvalidEstimate):
             simple_coefficient(1.0, 0.0, 0.0)
         with pytest.raises(InvalidEstimate):
             rough_coefficient(PauliSum((), 2), -1.0)
+        # NaN slips through every ``<`` and ``<=`` comparison
+        for args in [(nan, 0.0, 1.0), (1.0, nan, 1.0), (1.0, 0.0, nan)]:
+            with pytest.raises(InvalidEstimate):
+                simple_coefficient(*args)
+        with pytest.raises(InvalidEstimate):
+            rough_coefficient(PauliSum((), 2), nan)
+
+
+class TestPenaltyConstraint:
+    @pytest.mark.parametrize("min_gap", [0.0, -1.0, float("nan")])
+    def test_gap_must_be_positive(self, min_gap):
+        with pytest.raises(ValueError):
+            PenaltyConstraint(build_total_sz(2), 1.0, 1.0, min_gap)
 
 
 class TestOrderingChain:
@@ -212,3 +227,6 @@ class TestBetaEstimates:
     def test_invalid(self):
         with pytest.raises(InvalidEstimate):
             vqd_beta_estimates(build_heisenberg_chain(2), -2.0, -1.0)
+        for args in [(float("nan"), -1.0), (-1.0, float("nan"))]:
+            with pytest.raises(InvalidEstimate):
+                vqd_beta_estimates(build_heisenberg_chain(2), *args)
