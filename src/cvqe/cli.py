@@ -326,6 +326,7 @@ class Workspace:
             self.targets.append(request.target)
         self._points = None
         self._gaps: dict[int, float] = {}
+        self._constraints: tuple[PenaltyConstraint, ...] | None = None
 
     @property
     def qubit_count(self) -> int:
@@ -390,21 +391,28 @@ class Workspace:
         raise ConfigError(f"unknown mu policy {request.policy!r}")
 
     def penalty_constraints(self, coefficient_override: float | None = None):
-        constraints = []
-        for index, observable in enumerate(self.observables):
-            coefficient = coefficient_override
-            if coefficient is None:
-                # 0 means a ground-sector target: any positive weight works
-                coefficient = self.resolve_coefficient(index) or 1.0
-            constraints.append(
+        """One term per constraint, built once and reweighted on later calls.
+
+        The first call's terms are kept, so a square built on them carries
+        over to every later weight (see ``PenaltyConstraint.reweighted``).
+        """
+        count = len(self.observables)
+        if coefficient_override is None:
+            # 0 means a ground-sector target: any positive weight works
+            coefficients = [self.resolve_coefficient(index) or 1.0 for index in range(count)]
+        else:
+            coefficients = [coefficient_override] * count
+        if self._constraints is None:
+            self._constraints = tuple(
                 PenaltyConstraint(
                     observable=observable,
                     target=self.targets[index],
-                    coefficient=coefficient,
+                    coefficient=coefficients[index],
                     min_gap=self.min_gap(index),
                 )
+                for index, observable in enumerate(self.observables)
             )
-        return tuple(constraints)
+        return tuple(c.reweighted(mu) for c, mu in zip(self._constraints, coefficients))
 
     def ansatz(self) -> AnsatzConfig:
         return AnsatzConfig(
@@ -569,9 +577,7 @@ def _retry_with_doubling(workspace: Workspace, spec, record, seed):
     for _ in range(workspace.config.retry_on_miss):
         if not _sector_miss(workspace, current):
             break
-        constraints = tuple(
-            replace(c, coefficient=c.coefficient * scale) for c in spec.constraints
-        )
+        constraints = tuple(c.reweighted(c.coefficient * scale) for c in spec.constraints)
         current = minimize(replace(spec, constraints=constraints), ansatz, config, x0)
         scale *= 2.0
     return current

@@ -5,8 +5,11 @@ One formula, :func:`evaluate_cost`, serves both penalty forms::
     total = <H> + sum_l penalty_l + sum_i beta_i |<psi_i|psi>|^2
 
 * ``PenaltyForm.OPERATOR`` measures ``m_l = <(C_l - c_l)^2>`` (the squared
-  *operator*, the constraint's own :attr:`PenaltyConstraint.square`) and
-  adds ``penalty_l = mu_l m_l``.
+  *operator*) and adds ``penalty_l = mu_l m_l``.  The simulator takes
+  ``m_l`` as ``||(C_l - c_l) psi||^2`` (:func:`squared_residual`), so the
+  square is never compiled or applied; the constraint's own
+  :attr:`PenaltyConstraint.square` supplies only what a device would see:
+  its term count, and its identity coefficient under noise.
 * ``PenaltyForm.EXPECTATION`` measures ``m_l = <C_l>`` and adds
   ``penalty_l = mu_l (m_l - c_l)^2``; the gradient's chain rule reads the
   ``m_l`` from the breakdown.  Building such a spec builds no square.
@@ -24,10 +27,12 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DimensionMismatch, PenaltyFormError
 from .paulis import PauliSum, trace
 from .penalties import PenaltyConstraint
-from .simulator import NoiseModel, StateVector, expectation, noisy_expectation, overlap_sq
+from .simulator import NoiseModel, StateVector, apply, depolarize, expectation, overlap_sq
 
 
 class PenaltyForm(enum.Enum):
@@ -59,6 +64,7 @@ class CostSpec:
                 raise DimensionMismatch("deflation state qubit count differs from H")
             if not (math.isfinite(beta) and beta > 0):
                 raise ValueError("deflation weights must be positive and finite")
+        # the operators whose Pauli terms a device measures
         if self.form is PenaltyForm.OPERATOR:
             measured = tuple(constraint.square for constraint in self.constraints)
         else:
@@ -71,10 +77,14 @@ class CostSpec:
     def qubit_count(self) -> int:
         return self.hamiltonian.qubit_count
 
+    def _depolarize(self, pure: float, op: PauliSum) -> float:
+        """``pure`` is ``<op>`` on the ansatz state; apply the noise model, if any."""
+        if self.noise is None:
+            return pure
+        return depolarize(pure, op, self.noise)
+
     def _expect(self, op: PauliSum, state: StateVector) -> float:
-        if self.noise is not None:
-            return noisy_expectation(op, state, self.noise)
-        return expectation(op, state)
+        return self._depolarize(expectation(op, state), op)
 
 
 @dataclass(frozen=True)
@@ -100,13 +110,23 @@ def evaluate_expectation_penalty(spec: CostSpec, state: StateVector) -> CostBrea
     return evaluate_cost(spec, state)
 
 
+def squared_residual(constraint: PenaltyConstraint, state: StateVector) -> float:
+    """``<(C - c)^2>`` on ``state``, taken as ``||(C - c) psi||^2`` (noiseless)."""
+    psi = state.amplitudes
+    residual = apply(constraint.observable, psi) - constraint.target * psi
+    return float(np.vdot(residual, residual).real)
+
+
 def evaluate_cost(spec: CostSpec, state: StateVector) -> CostBreakdown:
     """The penalized cost of ``state`` in the spec's form (see the module docstring)."""
     energy = spec._expect(spec.hamiltonian, state)
-    measured = tuple(spec._expect(op, state) for op in spec._measured_ops)
     if spec.form is PenaltyForm.OPERATOR:
+        measured = tuple(
+            spec._depolarize(squared_residual(c, state), c.square) for c in spec.constraints
+        )
         penalties = tuple(c.coefficient * m for c, m in zip(spec.constraints, measured))
     else:
+        measured = tuple(spec._expect(op, state) for op in spec._measured_ops)
         penalties = tuple(
             c.coefficient * (m - c.target) ** 2 for c, m in zip(spec.constraints, measured)
         )

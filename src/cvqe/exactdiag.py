@@ -7,9 +7,9 @@ Hamiltonian eigenspaces are resolved by diagonalizing each observable
 restricted to the eigenspace (no magic-shift tricks), so (charge, energy)
 assignments are well defined even with exact degeneracies.
 
-Dense matrices are scattered from each operator's compiled per-term rows
-(:attr:`cvqe.paulis.PauliSum.compiled`), the same rows the simulator's
-expectations read.  Everything here is a correctness oracle, not a
+Dense matrices are scattered from each operator's compiled X-mask groups
+(:attr:`cvqe.paulis.PauliSum.compiled`), the same groups the simulator's
+``apply`` reads.  Everything here is a correctness oracle, not a
 performance path; the default size cap of 12 qubits keeps the dense
 4096^2 guarantee explicit.
 """
@@ -30,15 +30,16 @@ ORACLE_QUBIT_LIMIT = 12
 def dense_matrix(op: PauliSum) -> np.ndarray:
     """2^n x 2^n matrix in the little-endian basis (qubit 0 = fastest bit).
 
-    Scattered one term at a time in canonical order: each entry is then the
-    same sum of exact ``±w``/``±iw`` values as a per-term Kronecker product.
+    Scattered one X-mask group at a time: each group owns its entries, and
+    each entry is the same sum of exact ``±w``/``±iw`` values, in canonical
+    term order, as a per-term Kronecker product.
     """
-    partners, phases, weights = op.compiled
+    partners, diagonals = op.compiled
     dim = 2**op.qubit_count
     out = np.zeros((dim, dim), dtype=np.complex128)
-    columns = np.arange(dim)
-    for partner, phase, weight in zip(partners, phases, weights):
-        out[partner, columns] += weight * phase
+    rows = np.arange(dim)
+    for partner, diagonal in zip(partners, diagonals):
+        out[rows, partner] += diagonal
     return out
 
 

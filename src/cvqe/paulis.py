@@ -12,9 +12,10 @@ Complex phases appear only transiently: single-term products such as
 ``X0 * Y0 = i Z0`` carry their phase in the returned term, and sums with
 non-cancelling phases are rejected at canonicalization.
 
-Each sum owns its one numeric form, :attr:`PauliSum.compiled`: per-term rows
-of basis partners and phases (bit ``k`` of an index is qubit ``k``), read by
-both the simulator's expectations and the oracle's dense matrices.
+Each sum owns its one numeric form, :attr:`PauliSum.compiled`: one row of
+basis partners and one diagonal per distinct X-mask (bit ``k`` of an index
+is qubit ``k``), read by both the simulator's ``apply`` and the oracle's
+dense matrices.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ class PauliSum:
     a residual imaginary part above ``drop_tol`` raises
     :class:`~cvqe.errors.HermiticityError`.  Instances are immutable and
     hashable, so they can be shared freely; each builds its
-    :attr:`compiled` rows at most once.
+    :attr:`compiled` groups at most once.
     """
 
     terms: tuple[PauliTerm, ...]
@@ -168,28 +169,39 @@ class PauliSum:
         return sum(1 for t in self.terms if not t.is_identity)
 
     @cached_property
-    def compiled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-term rows ``(partners, phases, weights)``, built on first use.
+    def compiled(self) -> tuple[np.ndarray, np.ndarray]:
+        """One row per X-mask ``(partners, diagonals)``, built on first use.
 
-        Term ``t`` (canonical order) maps ``|j>`` to
-        ``weights[t] * phases[t, j] |partners[t, j]>``.
+        Terms that flip the same qubits (their X and Y axes) form one group;
+        groups are numbered by first appearance in canonical term order.
+        Group ``g`` maps amplitudes ``a`` to ``diagonals[g] * a[partners[g]]``,
+        and ``O a`` is the sum over groups.  ``diagonals[g, k]`` is
+        accumulated term by term in canonical order, so each entry is the
+        same sum of exact ``±w``/``±iw`` values as the terms' own matrices.
         """
         dim = 2**self.qubit_count
         idx = np.arange(dim)
-        count = len(self.terms)
-        partners = np.empty((count, dim), dtype=np.intp)
-        phases = np.empty((count, dim), dtype=np.complex128)
-        weights = np.empty(count)
         # z_signs[q, j]: eigenvalue of Z_q on |j>, +1 or -1 exactly
         z_signs = 1.0 - 2.0 * ((idx >> np.arange(self.qubit_count)[:, None]) & 1)
-        for row, term in enumerate(self.terms):
+        groups: dict[int, int] = {}
+        partners, diagonals = [], []
+        for term in self.terms:
             x_mask = sum(1 << q for q, axis in term.axes if axis != "Z")
             zy_qubits = [q for q, axis in term.axes if axis != "X"]
             n_y = sum(axis == "Y" for _, axis in term.axes)
-            partners[row] = idx ^ x_mask
-            phases[row] = (1j**n_y) * np.prod(z_signs[zy_qubits], axis=0)
-            weights[row] = term.coefficient.real
-        return partners, phases, weights
+            if x_mask not in groups:
+                groups[x_mask] = len(partners)
+                partners.append(idx ^ x_mask)
+                diagonals.append(np.zeros(dim, dtype=np.complex128))
+            g = groups[x_mask]
+            # the term maps |j> to w * phase[j] |j ^ x_mask>; read at j = k ^ x_mask
+            phase = (1j**n_y) * np.prod(z_signs[zy_qubits], axis=0)
+            diagonals[g] += term.coefficient.real * phase[partners[g]]
+        shape = (len(partners), dim)
+        return (
+            np.array(partners, dtype=np.intp).reshape(shape),
+            np.array(diagonals, dtype=np.complex128).reshape(shape),
+        )
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         self._check_dim(other)

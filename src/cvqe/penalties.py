@@ -18,7 +18,7 @@ is the global ground state the max above runs over an empty set; we return
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import InconsistentTarget, InvalidEstimate, NotCommuting
@@ -53,8 +53,17 @@ class PenaltyConstraint:
 
     @cached_property
     def square(self) -> PauliSum:
-        """``(C - c)^2``, built on first use; every spec and residual reads this one."""
+        """``(C - c)^2``, built on first use for its term count and trace; never compiled."""
         return square_shifted(self.observable, self.target)
+
+    def reweighted(self, coefficient: float) -> "PenaltyConstraint":
+        """This term with weight ``coefficient``; an already built :attr:`square` carries over."""
+        if coefficient == self.coefficient:
+            return self
+        out = replace(self, coefficient=coefficient)
+        if "square" in vars(self):
+            vars(out)["square"] = self.square
+        return out
 
 
 def exact_coefficient(

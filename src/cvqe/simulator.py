@@ -13,8 +13,9 @@ Conventions (fixed so results reproduce bit-for-bit):
   ``R_Y`` angle of qubit ``q`` and ``params[2nl + n + q]`` the ``R_Z``
   angle, so ``parameter_count = 2 n (depth + 1)``.
 
-Expectations read the per-term rows each operator compiles once
-(:attr:`cvqe.paulis.PauliSum.compiled`).
+:func:`apply` computes ``O|psi>`` from the X-mask groups each operator
+compiles once (:attr:`cvqe.paulis.PauliSum.compiled`), and
+:func:`expectation` is ``Re <psi|apply(O, psi)>``: one kernel for both.
 Depolarizing noise is handled analytically on expectation values
 (mixing with trace(O)/2^n), never by density-matrix simulation.
 """
@@ -149,18 +150,18 @@ def prepare(ansatz: AnsatzConfig, params) -> StateVector:
     return state
 
 
+def apply(op: PauliSum, amps: np.ndarray) -> np.ndarray:
+    """The amplitudes of ``O|psi>``: one gather-multiply per X-mask group."""
+    if amps.shape != (2**op.qubit_count,):
+        raise DimensionMismatch(f"operator on {op.qubit_count} qubits, amplitudes {amps.shape}")
+    partners, diagonals = op.compiled
+    return np.sum(diagonals * amps[partners], axis=0)
+
+
 def expectation(op: PauliSum, state: StateVector) -> float:
     """<psi|O|psi> for a canonical Hermitian sum; exact up to float rounding."""
-    if op.qubit_count != state.qubit_count:
-        raise DimensionMismatch(
-            f"operator on {op.qubit_count} qubits, state on {state.qubit_count}"
-        )
-    partners, phases, weights = op.compiled
-    if weights.size == 0:
-        return 0.0
     psi = state.amplitudes
-    per_term = np.real(np.sum(np.conj(psi[partners]) * phases * psi, axis=1))
-    return float(weights @ per_term)
+    return float(np.vdot(psi, apply(op, psi)).real)
 
 
 def overlap_sq(a: StateVector, b: StateVector) -> float:
@@ -170,12 +171,16 @@ def overlap_sq(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def noisy_expectation(op: PauliSum, state: StateVector, noise: NoiseModel) -> float:
-    """Expectation after the global depolarizing channel.
+def depolarize(pure: float, op: PauliSum, noise: NoiseModel) -> float:
+    """``(1-p) pure + p tr(O)/2^n``: the channel's image of ``<O> = pure``.
 
-    Exactly ``(1-p) <O> + p tr(O)/2^n``, where ``tr(O)/2^n`` is the identity
-    coefficient of O; affine in p, which is what makes the squared-operator
-    penalty's argmin noise-invariant.
+    ``tr(O)/2^n`` is the identity coefficient of O; the result is affine
+    in p, which is what makes the squared-operator penalty's argmin
+    noise-invariant.
     """
-    pure = expectation(op, state)
     return (1.0 - noise.p) * pure + noise.p * op.identity_coefficient
+
+
+def noisy_expectation(op: PauliSum, state: StateVector, noise: NoiseModel) -> float:
+    """Expectation after the global depolarizing channel (see :func:`depolarize`)."""
+    return depolarize(expectation(op, state), op, noise)

@@ -183,6 +183,19 @@ class TestVqe:
         assert all(r["sector_miss"] == "false" for r in rows)
         assert min(float(r["best_cost"]) for r in rows) == pytest.approx(0.25, abs=1e-6)
 
+    def test_retries_reuse_the_square(self, tmp_path, monkeypatch):
+        # mu = 0.01 misses the sector, so both seeds retry with 0.02, 0.04, 0.08
+        builds = count_square_builds(monkeypatch)
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({
+            "hamiltonian": "builtin:heisenberg:2",
+            "constraints": [{"observable": "sz", "c": 1.0, "mu": "0.01"}],
+            "depth": 1, "seeds": 2, "master_seed": 11, "retry_on_miss": 3,
+        }))  # fmt: skip
+        assert run_cli(["vqe", "--config", config, "--out", tmp_path / "retry.csv"]) == 0
+        assert all(r["sector_miss"] == "true" for r in read_rows(tmp_path / "retry.csv")[:-1])
+        assert len(builds) == 1
+
 
 class TestScanMu:
     def test_residual_scaling_and_measurement_ordering(self, tmp_path):
@@ -240,6 +253,15 @@ class TestScanMu:
         assert run_cli([
             "scan-mu", "--hamiltonian", "builtin:heisenberg:2", "--constraint", "sz=1",
             "--mu-values", "1", "--depth", 1, "--seeds", 1, "--out", tmp_path / "scan.csv",
+        ]) == 0
+        assert len(builds) == 1
+
+    def test_weights_share_one_square(self, tmp_path, monkeypatch):
+        builds = count_square_builds(monkeypatch)
+        assert run_cli([
+            "scan-mu", "--hamiltonian", "builtin:heisenberg:2", "--constraint", "sz=1",
+            "--mu-values", "1,10,100", "--depth", 1, "--seeds", 1,
+            "--out", tmp_path / "scan.csv",
         ]) == 0
         assert len(builds) == 1
 

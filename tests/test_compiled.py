@@ -1,9 +1,11 @@
-"""The compiled per-term rows of a PauliSum, checked against the dense oracle.
+"""The compiled X-mask groups of a PauliSum, checked against the dense oracle.
 
 ``PauliSum.compiled`` is the one numeric form of an operator: the
-simulator's expectations and ``exactdiag.dense_matrix`` both read it, so
-both are compared here with the independent Kronecker chain in
-``tests/helpers.py`` on random sums of up to six qubits.
+simulator's ``apply`` and expectations and ``exactdiag.dense_matrix`` all
+read it, so each is compared here with the independent Kronecker chain in
+``tests/helpers.py`` on random sums of up to six qubits.  The operator
+penalty is measured as ``||(C - c) psi||^2`` and checked against the dense
+``<(C - c)^2>``.
 """
 
 import numpy as np
@@ -11,16 +13,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cvqe import (
+    AnsatzConfig,
+    CostSpec,
+    OptimizerConfig,
     PauliSum,
     PauliTerm,
+    PenaltyConstraint,
     StateVector,
+    build_heisenberg_chain,
     build_s_squared,
     coefficient_norm,
     commutes,
     dense_matrix,
     expectation,
+    minimize,
     square_shifted,
 )
+from cvqe.costs import squared_residual
+from cvqe.simulator import apply
 from helpers import dense_oracle, random_state
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -51,6 +61,26 @@ def test_expectation_matches_dense_oracle(op, seed):
     assert abs(got - exact) <= 1e-12 * max(1.0, coefficient_norm(op))
 
 
+@PROPERTY
+@given(pauli_sums(), st.integers(0, 2**32 - 1))
+def test_apply_matches_dense_oracle(op, seed):
+    n = op.qubit_count
+    psi = random_state(np.random.default_rng(seed), n)
+    error = np.max(np.abs(apply(op, psi) - dense_oracle(op) @ psi))
+    assert error <= 1e-12 * max(1.0, coefficient_norm(op))
+
+
+@PROPERTY
+@given(pauli_sums(), st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1))
+def test_squared_residual_matches_dense_square(op, target, seed):
+    n = op.qubit_count
+    psi = random_state(np.random.default_rng(seed), n)
+    shifted = dense_oracle(op) - target * np.eye(2**n)
+    exact = np.vdot(psi, shifted @ shifted @ psi).real
+    got = squared_residual(PenaltyConstraint(op, target, 1.0, 1.0), StateVector(psi, n))
+    assert abs(got - exact) <= 1e-12 * max(1.0, coefficient_norm(square_shifted(op, target)))
+
+
 @st.composite
 def pauli_pairs(draw):
     """(A, B) on the same qubits; B is independent of A or a polynomial in it."""
@@ -78,13 +108,27 @@ def test_compiled_is_built_once_per_instance():
     expectation(op, StateVector(random_state(np.random.default_rng(0), 4), 4))
     dense_matrix(op)
     assert op.compiled is first
-    partners, phases, weights = first
-    assert partners.shape == phases.shape == (len(op.terms), 16)
-    assert weights.tolist() == [t.coefficient.real for t in op.terms]
+    partners, diagonals = first
+    assert partners.shape == diagonals.shape == (7, 16)  # I, then six X-masks X_i X_j
+    masks = [sum(1 << q for q, axis in t.axes if axis != "Z") for t in op.terms]
+    assert [row[0] for row in partners] == list(dict.fromkeys(masks))
+    for row in partners:
+        assert np.array_equal(row, np.arange(16) ^ row[0])
 
 
 def test_squared_s2_expectation_is_pinned():
-    # Value written by the per-term code this form replaced; exact equality
-    # pins the summation order of the compiled rows.
+    # Exact equality pins the summation order of the grouped rows.  The
+    # per-term rows they replaced gave 7.725389355535546, one ulp higher.
     psi = StateVector(random_state(np.random.default_rng(7), 4), 4)
-    assert expectation(square_shifted(build_s_squared(4), 2.0), psi) == 7.725389355535546
+    value = expectation(square_shifted(build_s_squared(4), 2.0), psi)
+    assert value == 7.725389355535545
+    assert abs(value - 7.725389355535546) <= 1e-12
+
+
+def test_operator_penalty_never_compiles_the_square():
+    constraint = PenaltyConstraint(build_s_squared(3), 0.75, 1.0, 0.75)
+    spec = CostSpec(build_heisenberg_chain(3), (constraint,))
+    ansatz = AnsatzConfig(qubit_count=3, depth=1)
+    minimize(spec, ansatz, OptimizerConfig(max_iterations=3), np.full(ansatz.parameter_count, 0.3))
+    assert "square" in vars(constraint)  # built for the device's term count
+    assert "compiled" not in vars(constraint.square)

@@ -22,7 +22,7 @@ from cvqe import (
     simultaneous_spectrum,
 )
 from cvqe.errors import NonFiniteCost, ParamCountMismatch
-from cvqe.optimize import CostEvaluator
+from cvqe.optimize import CostEvaluator, best_seed
 
 Z0 = PauliSum((PauliTerm(1.0, ((0, "Z"),)),), 1)
 
@@ -146,6 +146,18 @@ class TestMinimize:
                 np.array([np.nan, 0.0]),
             )
 
+    def test_stops_at_the_rounding_floor(self):
+        # At the exact minimum the shift-rule gradient is a few ulps, so any
+        # predicted decrease is rounding noise: no line search is started.
+        spec = CostSpec(hamiltonian=Z0)
+        ansatz = AnsatzConfig(qubit_count=1, depth=0)
+        config = OptimizerConfig(grad_tol=1e-300)
+        for x0 in ([np.pi, 0.0], [np.pi, 0.3]):
+            record = minimize(spec, ansatz, config, np.array(x0))
+            assert (record.nfev, record.n_grad_evals) == (1, 1)
+            units = 1 + 2 * ansatz.parameter_count  # one value, one shift-rule gradient
+            assert record.n_meas == units * pauli_ops_per_eval(spec)
+
 
 class TestMeasurementAccounting:
     def test_integer_identity_quasi_newton(self):
@@ -225,6 +237,15 @@ class TestRunTrials:
         for a, b in zip(r1, r2):
             assert np.array_equal(a.best_params, b.best_params)
             assert a.best_cost == b.best_cost and a.nfev == b.nfev
+
+    def test_tied_costs_go_to_the_lowest_seed(self):
+        # last-bit ties from the golden scan-mu runs, then clear winners
+        assert best_seed([0.1875000000000001, 0.18749999999999986]) == 0
+        assert best_seed([-0.24999999999993372, -0.24999999999998962]) == 0
+        assert best_seed([3.0, 1.0 + 1e-13, 1.0, 2.0]) == 1
+        assert best_seed([0.5, 0.5 - 1e-9]) == 1
+        assert best_seed([1e6 + 1e-7, 1e6]) == 0  # relative above 1
+        assert best_seed([1e6 + 1e-5, 1e6]) == 1
 
     def test_sector_task_mean_residual(self):
         spec = sector_spec()

@@ -94,6 +94,17 @@ class TestPenaltyConstraint:
         with pytest.raises(ValueError):
             PenaltyConstraint(build_total_sz(2), 1.0, 1.0, min_gap)
 
+    def test_reweighted_carries_a_built_square(self):
+        constraint = PenaltyConstraint(build_total_sz(2), 1.0, 1.0, 0.5)
+        assert constraint.reweighted(1.0) is constraint
+        fresh = constraint.reweighted(2.0)
+        assert (fresh.coefficient, fresh.target, fresh.min_gap) == (2.0, 1.0, 0.5)
+        assert "square" not in vars(fresh)  # nothing built yet, nothing to carry
+        square = constraint.square
+        assert constraint.reweighted(4.0).square is square
+        with pytest.raises(ValueError):
+            constraint.reweighted(-1.0)
+
 
 class TestOrderingChain:
     def test_exact_simple_rough_on_random_instances(self):
