@@ -33,7 +33,7 @@ from .exactdiag import (
     SpectrumPoint,
     dense_matrix,
     min_distinct_gap,
-    sector_ground,
+    sector_ground_multi,
     simultaneous_spectrum,
     simultaneous_spectrum_multi,
 )

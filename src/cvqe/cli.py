@@ -59,7 +59,7 @@ from .penalties import (
     simple_coefficient,
     vqd_beta_estimates,
 )
-from .simulator import AnsatzConfig, NoiseModel, expectation, overlap_sq, prepare
+from .simulator import AnsatzConfig, NoiseModel, expectation, overlap_sq
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -77,6 +77,10 @@ _ORACLE_ERRORS = (
 )
 
 _MU_POLICIES = ("auto-exact", "auto-simple", "auto-rough", "auto-ce")
+
+# CLI and config spellings -> library names; the CSV keeps the spellings.
+_FORMS = {"f1": PenaltyForm.OPERATOR, "f2": PenaltyForm.EXPECTATION}
+_OPTIMIZERS = {"qn": "quasi_newton", "simplex": "simplex"}
 
 # Constraint residual above 0.1 * gap^2 means the optimizer left the target
 # sector; flagged as data, optionally retried with doubled coefficients.
@@ -267,8 +271,12 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"{name} must be >= {low}, got {getattr(config, key)}")
     if config.hamiltonian is None:
         raise ConfigError("a Hamiltonian source is required (--hamiltonian or config)")
-    if config.form not in ("f1", "f2"):
-        raise ConfigError(f"unknown penalty form {config.form!r}")
+    for key, spellings in (("form", _FORMS), ("optimizer", _OPTIMIZERS)):
+        if getattr(config, key) not in spellings:
+            raise ConfigError(
+                f"config key {key!r} must be one of {', '.join(spellings)}, "
+                f"got {getattr(config, key)!r}"
+            )
     if config.noise_p and not 0.0 <= config.noise_p < 1.0:
         raise ConfigError("--noise-p must lie in [0, 1)")
     return config
@@ -422,11 +430,8 @@ class Workspace:
         )
 
     def optimizer_config(self) -> OptimizerConfig:
-        method = {"qn": "quasi_newton", "simplex": "simplex"}.get(
-            self.config.optimizer, self.config.optimizer
-        )
         return OptimizerConfig(
-            method=method,
+            method=_OPTIMIZERS[self.config.optimizer],
             gradient=self.config.gradient,
             grad_tol=self.config.grad_tol,
             max_iterations=self.config.max_iterations,
@@ -441,7 +446,7 @@ class Workspace:
         return CostSpec(
             hamiltonian=self.hamiltonian,
             constraints=constraints,
-            form=PenaltyForm.OPERATOR if form == "f1" else PenaltyForm.EXPECTATION,
+            form=_FORMS[form],
             deflation=tuple(deflation),
             noise=self.noise(),
         )
@@ -467,11 +472,6 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]):
     else:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             emit(handle)
-
-
-def _pure_energy(workspace: Workspace, record) -> float:
-    state = prepare(workspace.ansatz(), record.best_params)
-    return expectation(workspace.hamiltonian, state)
 
 
 def _sector_miss(workspace: Workspace, record) -> bool:
@@ -508,7 +508,7 @@ def cmd_spectrum(config: ExperimentConfig) -> int:
 def _trial_rows(workspace: Workspace, records, e_reference: float):
     rows = []
     for seed, record in enumerate(records):
-        energy = _pure_energy(workspace, record)
+        energy = expectation(workspace.hamiltonian, record.state)
         rows.append(
             [
                 seed,
@@ -604,12 +604,12 @@ def cmd_scan_mu(config: ExperimentConfig) -> int:
     rows = []
     for mu in config.mu_values:
         constraints = workspace.penalty_constraints(mu)
-        for form in ("f1", "f2"):
+        for form in _FORMS:
             spec = workspace.cost_spec(constraints, form=form)
             records, summary = run_trials(
                 spec, workspace.ansatz(), workspace.optimizer_config(), config.seeds
             )
-            energies = [_pure_energy(workspace, record) for record in records]
+            energies = [expectation(workspace.hamiltonian, r.state) for r in records]
             residuals = [record.constraint_residual for record in records]
             rows.append(
                 [
@@ -673,23 +673,20 @@ def cmd_vqd(config: ExperimentConfig) -> int:
     header += ["sector_miss", "max_overlap_previous", "seed"]
     rows = []
     found_states = []
-    ansatz = workspace.ansatz()
     for level in range(config.levels + 1):
         deflation = tuple((state, betas[i]) for i, state in enumerate(found_states))
         spec = workspace.cost_spec(constraints, deflation=deflation)
         records, summary = run_trials(
-            spec, ansatz, workspace.optimizer_config(), config.seeds
+            spec, workspace.ansatz(), workspace.optimizer_config(), config.seeds
         )
         e_reference = penalized[level].energy if level < len(penalized) else float("nan")
         trial_rows = _trial_rows(workspace, records, e_reference)
         for seed, (record, row) in enumerate(zip(records, trial_rows)):
-            state = prepare(ansatz, record.best_params)
             max_overlap = max(
-                (overlap_sq(prev, state) for prev, _ in deflation), default=0.0
+                (overlap_sq(prev, record.state) for prev, _ in deflation), default=0.0
             )
             rows.append([level, *row[1:], max_overlap, seed])
-        best = records[summary.best_index]
-        found_states.append(prepare(ansatz, best.best_params))
+        found_states.append(records[summary.best_index].state)
     _write_csv(config.out, header, rows)
     return EXIT_OK
 
@@ -812,9 +809,9 @@ def build_parser() -> argparse.ArgumentParser:
             action="append",
             help="<name|path>=<c>[:mu=<policy|value>], repeatable",
         )
-        sub.add_argument("--form", choices=("f1", "f2"))
+        sub.add_argument("--form", choices=tuple(_FORMS))
         sub.add_argument("--depth", type=int)
-        sub.add_argument("--optimizer", choices=("qn", "simplex"))
+        sub.add_argument("--optimizer", choices=tuple(_OPTIMIZERS))
         sub.add_argument("--seeds", type=int)
         sub.add_argument("--master-seed", type=int, dest="master_seed")
         sub.add_argument("--noise-p", type=float, dest="noise_p")

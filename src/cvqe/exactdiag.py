@@ -89,9 +89,12 @@ def simultaneous_spectrum_multi(
 ) -> list[SpectrumPoint]:
     """Full simultaneous eigenbasis of H and every commuting observable.
 
-    Points come back sorted by ascending energy, ties broken by ascending
-    charge tuple then original basis order, which makes the ordering total
-    and deterministic.
+    Points come back in eigenvector index order, which is already sorted:
+    ``eigh`` returns ascending energies, and the refinement rotates vectors
+    only inside an energy cluster, returning each observable's charges in
+    ascending order inside each sub-cluster of the observables before it.
+    So the order is (energy cluster, charge tuple, basis index), and it does
+    not hinge on last-bit noise inside a degenerate multiplet.
     """
     n = hamiltonian.qubit_count
     if n > oracle_limit:
@@ -124,16 +127,14 @@ def simultaneous_spectrum_multi(
                 refined.append(slice(offset + piece.start, offset + piece.stop))
         blocks = refined
 
-    order = sorted(range(2**n), key=lambda i: (energies[i], tuple(charges[:, i]), i))
-    points = [
+    return [
         SpectrumPoint(
             float(energies[i]),
             tuple(float(c) for c in charges[:, i]),
             StateVector(vectors[:, i].copy(), n),
         )
-        for i in order
+        for i in range(2**n)
     ]
-    return points
 
 
 def simultaneous_spectrum(
@@ -146,11 +147,6 @@ def simultaneous_spectrum(
     return simultaneous_spectrum_multi(
         hamiltonian, [observable], match_tol=match_tol, oracle_limit=oracle_limit
     )
-
-
-def sector_ground(points, target: float, match_tol: float = 1e-8) -> SectorTarget:
-    """Lowest-energy point whose charge matches ``target`` within tolerance."""
-    return sector_ground_multi(points, (target,), match_tol=match_tol)
 
 
 def sector_ground_multi(points, targets, match_tol: float = 1e-8) -> SectorTarget:

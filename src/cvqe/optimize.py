@@ -8,10 +8,14 @@ is below ``2 eps max(1, |f|)``, since only rounding noise could decide
 that search.  Gradients come from the parameter-shift rule (exact for
 the R_Y/R_Z-generated gates) or symmetric finite differences.
 
-Cost accounting follows the device model: every state preparation followed
-by measurement of the cost's Pauli terms is one evaluation unit, including
-the ones inside gradient estimation, and the total Pauli-measurement count
-is ``units * pauli_ops_per_eval(spec)`` as an exact integer identity.
+Cost accounting follows the device model, and :class:`CostEvaluator` is
+its one ledger: ``nfev`` counts the optimizer's cost evaluations (calls of
+``value``), ``n_grad_evals`` its gradients (calls of ``gradient``), and
+``evals`` every state preparation followed by measurement of the cost's
+Pauli terms, the bundles inside gradients included.  :func:`minimize`
+copies the three into its record, with the total Pauli-measurement count
+``n_meas = evals * pauli_ops_per_eval(spec)`` as an exact integer identity;
+the minimizers themselves count nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .costs import (
     squared_residual,
 )
 from .errors import NonFiniteCost, ParamCountMismatch
-from .simulator import AnsatzConfig, prepare
+from .simulator import AnsatzConfig, StateVector, prepare
 
 _ARMIJO_SLOPE = 1e-4
 _MIN_STEP = 1e-14
@@ -69,6 +73,7 @@ class OptimizationRecord:
     n_meas: int
     cost_trace: list[float]
     constraint_residuals: tuple[float, ...]
+    state: StateVector  # prepared at best_params
 
     @property
     def constraint_residual(self) -> float:
@@ -76,11 +81,13 @@ class OptimizationRecord:
 
 
 class CostEvaluator:
-    """Counts every prepare-and-measure bundle in ``evals``.
+    """The ledger of one run: ``nfev``, ``n_grad_evals`` and ``evals``.
 
-    ``value`` costs one bundle.  A parameter-shift gradient costs two
-    bundles per parameter, plus one base bundle for the squared-expectation
-    form (the chain rule needs the unshifted constraint expectations).
+    ``value`` counts one in ``nfev`` and costs one bundle.  ``gradient``
+    counts one in ``n_grad_evals`` and measures its own bundles, never
+    through ``value``: two per parameter, plus one base bundle for the
+    squared-expectation form under the shift rule (the chain rule needs
+    the unshifted constraint expectations).  ``evals`` counts every bundle.
     """
 
     def __init__(self, spec: CostSpec, ansatz: AnsatzConfig):
@@ -88,9 +95,12 @@ class CostEvaluator:
             raise ParamCountMismatch("spec and ansatz qubit counts differ")
         self.spec = spec
         self.ansatz = ansatz
+        self.nfev = 0
+        self.n_grad_evals = 0
         self.evals = 0
 
     def value(self, params) -> float:
+        self.nfev += 1
         return self._measure(params).total
 
     def _measure(self, params) -> CostBreakdown:
@@ -107,19 +117,20 @@ class CostEvaluator:
             raise ParamCountMismatch(
                 f"expected {self.ansatz.parameter_count} parameters, got {params.shape}"
             )
+        if kind not in ("parameter_shift", "central_difference"):
+            raise ValueError(f"unknown gradient kind {kind!r}")
+        self.n_grad_evals += 1
         grad = np.empty_like(params)
         if kind == "central_difference":
-            for k, plus, minus in _shifted(params, fd_step, self.value):
-                grad[k] = (plus - minus) / (2 * fd_step)
+            for k, plus, minus in _shifted(params, fd_step, self._measure):
+                grad[k] = (plus.total - minus.total) / (2 * fd_step)
             return grad
-        if kind != "parameter_shift":
-            raise ValueError(f"unknown gradient kind {kind!r}")
         if self.spec.form is PenaltyForm.OPERATOR:
             # The whole cost (deflation projectors included) is a single
             # expectation of a fixed operator, so the shift rule applies to
             # the full scalar.
-            for k, plus, minus in _shifted(params, np.pi / 2, self.value):
-                grad[k] = 0.5 * (plus - minus)
+            for k, plus, minus in _shifted(params, np.pi / 2, self._measure):
+                grad[k] = 0.5 * (plus.total - minus.total)
             return grad
         # Squared-expectation form: shift rule on <H>, the overlaps and each
         # <C_l>, chained through d/dx mu (<C> - c)^2 = 2 mu (<C> - c) d<C>/dx.
@@ -167,87 +178,71 @@ def minimize(
             f"expected {ansatz.parameter_count} parameters, got {x0.shape}"
         )
     evaluator = CostEvaluator(spec, ansatz)
-    if config.method == "quasi_newton":
-        x, f, trace, nfev, ngrad = _minimize_bfgs(evaluator, config, x0)
-    else:
-        x, f, trace, nfev = _minimize_simplex(evaluator, config, x0)
-        ngrad = 0
+    minimizer = _minimize_bfgs if config.method == "quasi_newton" else _minimize_simplex
+    x, f, trace = minimizer(evaluator, config, x0)
     state = prepare(ansatz, x)
-    residuals = tuple(squared_residual(c, state) for c in spec.constraints)
     return OptimizationRecord(
         best_params=x,
         best_cost=float(f),
-        nfev=nfev,
-        n_grad_evals=ngrad,
+        nfev=evaluator.nfev,
+        n_grad_evals=evaluator.n_grad_evals,
         n_meas=evaluator.evals * pauli_ops_per_eval(spec),
         cost_trace=trace,
-        constraint_residuals=residuals,
+        constraint_residuals=tuple(squared_residual(c, state) for c in spec.constraints),
+        state=state,
     )
 
 
-class _LineSearchState:
-    """Bookkeeping for one strong-Wolfe search along a fixed direction."""
+def _wolfe_search(
+    evaluator, config, x, direction, f0, df0, c1=_ARMIJO_SLOPE, c2=0.9, max_bracket=20
+):
+    """Strong-Wolfe line search (bracket + zoom) along ``x + step * direction``.
 
-    def __init__(self, evaluator, config, x, direction):
-        self.evaluator = evaluator
-        self.config = config
-        self.x = x
-        self.direction = direction
-        self.nfev = 0
-        self.ngrad = 0
-
-    def phi(self, step):
-        self.nfev += 1
-        return self.evaluator.value(self.x + step * self.direction)
-
-    def grad(self, step):
-        self.ngrad += 1
-        return self.evaluator.gradient(
-            self.x + step * self.direction, self.config.gradient, self.config.fd_step
-        )
-
-
-def _wolfe_search(state, f0, df0, c1=_ARMIJO_SLOPE, c2=0.9, max_bracket=20):
-    """Strong-Wolfe line search (bracket + zoom); returns (step, f, g) or None.
-
-    Guarantees s.y > 0 at the accepted point, which keeps every BFGS
-    curvature update well posed.
+    Returns (step, f, g) or None.  Guarantees s.y > 0 at the accepted
+    point, which keeps every BFGS curvature update well posed.
     """
+
+    def phi(step):
+        return evaluator.value(x + step * direction)
+
+    def grad(step):
+        return evaluator.gradient(x + step * direction, config.gradient, config.fd_step)
+
     step_prev, f_prev = 0.0, f0
     step = 1.0
     for i in range(max_bracket):
-        f_step = state.phi(step)
+        f_step = phi(step)
         if f_step > f0 + c1 * step * df0 or (i > 0 and f_step >= f_prev):
-            return _zoom(state, f0, df0, step_prev, f_prev, step, c1, c2)
-        g_step = state.grad(step)
-        df_step = float(g_step @ state.direction)
+            return _zoom(phi, grad, direction, f0, df0, step_prev, f_prev, step, c1, c2)
+        g_step = grad(step)
+        df_step = float(g_step @ direction)
         if abs(df_step) <= -c2 * df0:
             return step, f_step, g_step
         if df_step >= 0:
-            return _zoom(state, f0, df0, step, f_step, step_prev, c1, c2)
+            return _zoom(phi, grad, direction, f0, df0, step, f_step, step_prev, c1, c2)
         step_prev, f_prev = step, f_step
         step *= 2.0
     return None
 
 
-def _zoom(state, f0, df0, lo, f_lo, hi, c1, c2, max_zoom=30):
+def _zoom(phi, grad, direction, f0, df0, lo, f_lo, hi, c1, c2, max_zoom=30):
     for _ in range(max_zoom):
         step = 0.5 * (lo + hi)
         if abs(hi - lo) < _MIN_STEP:
             break
-        f_step = state.phi(step)
+        f_step = phi(step)
         if f_step > f0 + c1 * step * df0 or f_step >= f_lo:
             hi = step
             continue
-        g_step = state.grad(step)
-        df_step = float(g_step @ state.direction)
+        g_step = grad(step)
+        df_step = float(g_step @ direction)
         if abs(df_step) <= -c2 * df0:
             return step, f_step, g_step
         if df_step * (hi - lo) >= 0:
             hi = lo
         lo, f_lo = step, f_step
     if f_lo < f0 and lo > 0:  # sufficient decrease holds at lo by construction
-        return lo, f_lo, state.grad(lo)
+        return lo, f_lo, grad(lo)
     return None
 
 
@@ -255,10 +250,8 @@ def _minimize_bfgs(evaluator, config, x0):
     x = x0.copy()
     dim = x.size
     f = evaluator.value(x)
-    nfev = 1
     trace = [f]
     g = evaluator.gradient(x, config.gradient, config.fd_step)
-    ngrad = 1
     hess_inv = np.eye(dim)
     first_update = True
 
@@ -274,10 +267,7 @@ def _minimize_bfgs(evaluator, config, x0):
             slope = -float(g @ g)
         if -slope <= _SLOPE_FLOOR * max(1.0, abs(f)):
             break  # no line search can tell such a decrease from rounding
-        search = _LineSearchState(evaluator, config, x, direction)
-        result = _wolfe_search(search, f, slope)
-        nfev += search.nfev
-        ngrad += search.ngrad
+        result = _wolfe_search(evaluator, config, x, direction, f, slope)
         if result is None:
             break
         step, f_new, g_new = result
@@ -299,7 +289,7 @@ def _minimize_bfgs(evaluator, config, x0):
                 + rho * (1.0 + rho * float(y @ hy)) * np.outer(s, s)
             )
         g = g_new
-    return x, f, trace, nfev, ngrad
+    return x, f, trace
 
 
 def _minimize_simplex(evaluator, config, x0, nonzero_step=0.25):
@@ -310,7 +300,6 @@ def _minimize_simplex(evaluator, config, x0, nonzero_step=0.25):
         vertex[k] += nonzero_step
         simplex.append(vertex)
     values = [evaluator.value(v) for v in simplex]
-    nfev = len(simplex)
     trace = [min(values)]
 
     for _ in range(config.max_iterations):
@@ -323,11 +312,9 @@ def _minimize_simplex(evaluator, config, x0, nonzero_step=0.25):
         worst = simplex[-1]
         reflected = centroid + (centroid - worst)
         f_r = evaluator.value(reflected)
-        nfev += 1
         if f_r < values[0]:
             expanded = centroid + 2.0 * (centroid - worst)
             f_e = evaluator.value(expanded)
-            nfev += 1
             if f_e < f_r:
                 simplex[-1], values[-1] = expanded, f_e
             else:
@@ -337,17 +324,15 @@ def _minimize_simplex(evaluator, config, x0, nonzero_step=0.25):
         else:
             contracted = centroid + 0.5 * (worst - centroid)
             f_c = evaluator.value(contracted)
-            nfev += 1
             if f_c < values[-1]:
                 simplex[-1], values[-1] = contracted, f_c
             else:  # shrink toward the best vertex
                 for i in range(1, len(simplex)):
                     simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
                     values[i] = evaluator.value(simplex[i])
-                    nfev += 1
         trace.append(min(values))
     best = int(np.argmin(values))
-    return simplex[best], values[best], trace, nfev
+    return simplex[best], values[best], trace
 
 
 @dataclass

@@ -42,7 +42,7 @@ from cvqe import (
     prepare,
     rough_coefficient,
     run_trials,
-    sector_ground,
+    sector_ground_multi,
     simple_coefficient,
     simultaneous_spectrum,
     simultaneous_spectrum_multi,
@@ -53,7 +53,6 @@ from cvqe import (
 )
 from cvqe.envelope import hull_energy_at, lower_hull
 from cvqe.errors import ParseError
-from cvqe.exactdiag import sector_ground_multi
 from helpers import (
     dense_oracle,
     random_pauli_sum,
@@ -111,7 +110,7 @@ def _boundary_instances(minimum: int = 20):
         points = simultaneous_spectrum(h, obs)
         charges = sorted({round(p.charge, 6) for p in points})
         c = float(charges[int(rng.integers(0, len(charges)))])
-        target = sector_ground(points, c)
+        target = sector_ground_multi(points, (c,))
         if target.index == 0:
             continue
         plane = [(p.charge, p.energy) for p in points]
@@ -144,7 +143,7 @@ def test_criterion_3_deviation_law():
     points = simultaneous_spectrum(HEISENBERG4, build_total_sz(4))
     plane = [(p.charge, p.energy) for p in points]
     for c in (2.0, -2.0):
-        target = sector_ground(points, c)
+        target = sector_ground_multi(points, (c,))
         cases.append((plane, c, target.energy))
     mus = np.array([1.0, 10.0, 100.0, 1000.0])
     for cloud, c, e_target in cases:
@@ -167,7 +166,7 @@ def test_criterion_4_interior_target_failure():
     h = diagonal_hamiltonian(INTERIOR_ENERGIES)
     number_op = build_number_operator(3)
     points = simultaneous_spectrum(h, number_op)
-    target = sector_ground(points, 1.0)
+    target = sector_ground_multi(points, (1.0,))
     plane = [(p.charge, p.energy) for p in points]
     assert classify_target(plane, 1.0, target.energy) is Classification.INTERIOR
     clearance = target.energy - hull_energy_at(lower_hull(plane), 1.0)
@@ -271,7 +270,7 @@ def test_criterion_6_vqe_vqd_against_oracle():
     _, excited_summary = run_trials(deflated, ANSATZ4, OptimizerConfig(seed=43), 10)
     assert excited_summary.best_cost == pytest.approx(e1, abs=1e-6)
 
-    target = sector_ground(points, 1.0)
+    target = sector_ground_multi(points, (1.0,))
     mu = simple_coefficient(target.energy, e0, 0.5)
     sector_spec = CostSpec(
         hamiltonian=HEISENBERG4,

@@ -384,12 +384,12 @@ class TestPolicyResolution:
         return Workspace(config)
 
     def test_auto_exact_single(self):
-        from cvqe import exact_coefficient, sector_ground, simultaneous_spectrum
+        from cvqe import exact_coefficient, sector_ground_multi, simultaneous_spectrum
         from cvqe import build_heisenberg_chain, build_total_sz
 
         workspace = self.make_workspace(["sz=1:mu=auto-exact"])
         points = simultaneous_spectrum(build_heisenberg_chain(4), build_total_sz(4))
-        expected = exact_coefficient(points, sector_ground(points, 1.0))
+        expected = exact_coefficient(points, sector_ground_multi(points, (1.0,)))
         assert workspace.resolve_coefficient(0) == pytest.approx(expected)
 
     def test_auto_exact_multi_skips_matching_charges(self):
@@ -465,7 +465,7 @@ class TestArgumentErrors:
          "string_depth_in_config", "nan_coefficient", "nan_mu", "inf_mu", "nan_target",
          "nan_mu_values", "nan_auto_ce", "nan_beta", "nan_ce_estimates",
          "int_ce_estimates_in_config", "string_c_in_config", "nan_literal_in_config",
-         "zero_max_iterations_in_config"],
+         "zero_max_iterations_in_config", "unknown_optimizer_in_config"],
     )  # fmt: skip
     def test_bad_input_is_one_error_line(self, name, tmp_path, capsys):
         def config(stem, **fields):
@@ -510,6 +510,9 @@ class TestArgumentErrors:
             ),
             "zero_max_iterations_in_config": (
                 ["vqe", "--config", config("iterations", max_iterations=0)], "'max_iterations'",
+            ),
+            "unknown_optimizer_in_config": (
+                ["vqe", "--config", config("optimizer", optimizer="bfgs")], "'optimizer'",
             ),
         }[name]
         code = run_cli(argv)  # an escaping exception fails the test with its traceback

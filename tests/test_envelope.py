@@ -12,7 +12,7 @@ from cvqe import (
     minimize_operator_penalty,
     noisy_expectation_penalty_minimum,
     noisy_tangent_first_order,
-    sector_ground,
+    sector_ground_multi,
     simultaneous_spectrum,
     tangent_closed_form,
 )
@@ -68,7 +68,7 @@ class TestClassifyTarget:
 
     def test_heisenberg_sector_is_boundary(self):
         points = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
-        target = sector_ground(points, 1.0)
+        target = sector_ground_multi(points, (1.0,))
         plane = [(p.charge, p.energy) for p in points]
         assert classify_target(plane, 1.0, target.energy) is Classification.BOUNDARY
 
@@ -180,7 +180,7 @@ class TestDeviationLaw:
     def test_deviation_exact_in_tangent_regime(self):
         points = simultaneous_spectrum(build_heisenberg_chain(4), build_total_sz(4))
         plane = [(p.charge, p.energy) for p in points]
-        target = sector_ground(points, 2.0)
+        target = sector_ground_multi(points, (2.0,))
         for mu in (1.0, 10.0, 100.0, 1000.0):
             result = tangent_closed_form(plane, 2.0, target.energy, mu)
             assert result.case is TangentCase.BOUNDARY_TANGENT
@@ -190,7 +190,7 @@ class TestDeviationLaw:
     def test_log_log_slope_is_minus_one(self):
         points = simultaneous_spectrum(build_heisenberg_chain(4), build_total_sz(4))
         plane = [(p.charge, p.energy) for p in points]
-        target = sector_ground(points, 2.0)
+        target = sector_ground_multi(points, (2.0,))
         mus = np.array([1.0, 10.0, 100.0, 1000.0])
         devs = np.array(
             [target.energy - minimize_expectation_penalty(plane, 2.0, m).f_min for m in mus]

@@ -10,14 +10,15 @@ from cvqe import (
     build_total_sz,
     build_transverse_field_ising,
     build_z_parity,
+    coefficient_norm,
     dense_matrix,
     min_distinct_gap,
-    sector_ground,
+    sector_ground_multi,
     simultaneous_spectrum,
     simultaneous_spectrum_multi,
 )
 from cvqe.errors import EmptySector, NotCommuting, OracleTooLarge, SingleEigenvalue
-from helpers import dense_oracle, random_symmetric_hamiltonian
+from helpers import dense_oracle, observable_menu, random_symmetric_hamiltonian
 
 
 class TestDenseMatrix:
@@ -92,23 +93,37 @@ class TestSimultaneousSpectrum:
         assert energies == sorted(energies)
         triplet = [p.charge for p in points[1:]]
         assert triplet == sorted(triplet)
+        # random symmetric H with two observables: energies ascend, and inside
+        # each energy cluster (the oracle's own tolerance) so do the charges
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            h = random_symmetric_hamiltonian(rng, n)
+            menu = observable_menu(n)
+            picks = rng.choice(len(menu), size=2, replace=False)
+            points = simultaneous_spectrum_multi(h, [menu[i][1] for i in picks])
+            tol = 1e-8 * max(1.0, coefficient_norm(h))
+            for a, b in zip(points, points[1:]):
+                assert a.energy <= b.energy
+                if b.energy - a.energy <= tol:
+                    assert a.charges <= b.charges
 
 
 class TestSectorGround:
     def test_heisenberg_sector(self):
         points = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
-        target = sector_ground(points, 1.0)
+        target = sector_ground_multi(points, (1.0,))
         assert target.energy == pytest.approx(0.25)
         assert all(abs(p.charge - 1.0) > 1e-8 for p in points[: target.index])
 
     def test_empty_sector(self):
         points = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
         with pytest.raises(EmptySector):
-            sector_ground(points, 0.5)
+            sector_ground_multi(points, (0.5,))
 
     def test_global_ground_sector(self):
         points = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
-        target = sector_ground(points, 0.0)
+        target = sector_ground_multi(points, (0.0,))
         assert target.index == 0
 
 

@@ -56,6 +56,18 @@ CASES = {
          "--depth", "1", "--seeds", "2", "--master-seed", "3"],
         None,
     ),
+    "vqe_simplex": (
+        ["vqe", "--hamiltonian", "builtin:heisenberg:3",
+         "--constraint", "sz=0.5:mu=auto-simple", "--optimizer", "simplex",
+         "--depth", "1", "--seeds", "2", "--master-seed", "0"],
+        {"max_iterations": 30},
+    ),
+    "vqe_central_difference": (
+        ["vqe", "--hamiltonian", "builtin:heisenberg:3",
+         "--constraint", "sz=0.5:mu=auto-exact",
+         "--depth", "1", "--seeds", "2", "--master-seed", "0"],
+        {"gradient": "central_difference", "max_iterations": 40},
+    ),
     "envelope_noisy": (
         ["envelope", "--hamiltonian", "builtin:heisenberg:4", "--constraint", "sz=2",
          "--mu-values", "1,10,100", "--noise-p", "0.05"],

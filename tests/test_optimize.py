@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cvqe.optimize as optimize_module
 from cvqe import (
     AnsatzConfig,
     CostSpec,
@@ -18,7 +19,7 @@ from cvqe import (
     pauli_ops_per_eval,
     prepare,
     run_trials,
-    sector_ground,
+    sector_ground_multi,
     simultaneous_spectrum,
 )
 from cvqe.errors import NonFiniteCost, ParamCountMismatch
@@ -110,7 +111,7 @@ class TestMinimize:
 
     def test_heisenberg_sector_task(self):
         points = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
-        target = sector_ground(points, 1.0)
+        target = sector_ground_multi(points, (1.0,))
         spec = sector_spec()  # coefficient from the universal gap: (1)/(0.5^2)
         ansatz = AnsatzConfig(qubit_count=2, depth=1)
         records, summary = run_trials(spec, ansatz, OptimizerConfig(seed=5), 5)
@@ -159,25 +160,32 @@ class TestMinimize:
             assert record.n_meas == units * pauli_ops_per_eval(spec)
 
 
+@pytest.fixture
+def prepared(monkeypatch):
+    """Parameters of every state the optimize module prepares, in order."""
+    calls = []
+
+    def counting_prepare(ansatz, params):
+        calls.append(params)
+        return prepare(ansatz, params)
+
+    monkeypatch.setattr(optimize_module, "prepare", counting_prepare)
+    return calls
+
+
 class TestMeasurementAccounting:
-    def test_integer_identity_quasi_newton(self):
+    def test_integer_identity_quasi_newton(self, prepared):
         spec = sector_spec(mu=2.0)
         ansatz = AnsatzConfig(qubit_count=2, depth=1)
         evaluator = CostEvaluator(spec, ansatz)
-        calls = {"n": 0}
-        original = evaluator.value
-
-        def spying_value(params):
-            calls["n"] += 1
-            return original(params)
-
-        evaluator.value = spying_value
         x = np.full(ansatz.parameter_count, 0.3)
         evaluator.value(x)
         evaluator.gradient(x)
         evaluator.gradient(x, kind="central_difference")
-        # operator form: every gradient bundle routes through value()
-        assert evaluator.evals == calls["n"]
+        # operator form: one bundle per value, 2P per gradient of either rule,
+        # and the gradients' bundles are not counted as values
+        assert evaluator.evals == len(prepared) == 1 + 4 * ansatz.parameter_count
+        assert (evaluator.nfev, evaluator.n_grad_evals) == (1, 2)
 
     def test_n_meas_identity_end_to_end(self):
         for form in (PenaltyForm.OPERATOR, PenaltyForm.EXPECTATION):
@@ -208,6 +216,33 @@ class TestMeasurementAccounting:
             if form is PenaltyForm.EXPECTATION:
                 expected += 1
             assert ev.evals == expected
+
+    @pytest.mark.parametrize("form", [PenaltyForm.OPERATOR, PenaltyForm.EXPECTATION])
+    @pytest.mark.parametrize(
+        "method, kind",
+        [
+            ("quasi_newton", "parameter_shift"),
+            ("quasi_newton", "central_difference"),
+            ("simplex", "parameter_shift"),
+        ],
+    )
+    def test_record_identity(self, form, method, kind, prepared):
+        spec = sector_spec(mu=2.0, form=form)
+        ansatz = AnsatzConfig(qubit_count=2, depth=1)
+        config = OptimizerConfig(method=method, gradient=kind, max_iterations=20)
+        record = minimize(spec, ansatz, config, np.full(ansatz.parameter_count, 0.4))
+        # 2P bundles per gradient, +1 base bundle for the f2 shift-rule chain
+        per_gradient = 2 * ansatz.parameter_count
+        per_gradient += form is PenaltyForm.EXPECTATION and kind == "parameter_shift"
+        units = record.nfev + record.n_grad_evals * per_gradient
+        assert record.n_meas == units * pauli_ops_per_eval(spec)
+        assert record.nfev > 0
+        assert (record.n_grad_evals > 0) == (method == "quasi_newton")
+        # the bundles plus one final state, which the record keeps
+        assert len(prepared) == units + 1
+        assert np.array_equal(prepared[-1], record.best_params)
+        final = prepare(ansatz, record.best_params).amplitudes
+        assert np.array_equal(record.state.amplitudes, final)
 
     def test_record_n_meas(self):
         spec = sector_spec(mu=2.0)

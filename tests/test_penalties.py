@@ -13,14 +13,14 @@ from cvqe import (
     minimize_operator_penalty,
     multi_constraint_coefficients,
     rough_coefficient,
-    sector_ground,
+    sector_ground_multi,
     simple_coefficient,
     simultaneous_spectrum,
     simultaneous_spectrum_multi,
     vqd_beta_estimates,
 )
 from cvqe.errors import InconsistentTarget, InvalidEstimate, NotCommuting
-from cvqe.exactdiag import SpectrumPoint, sector_ground_multi
+from cvqe.exactdiag import SpectrumPoint
 from cvqe.simulator import basis_state
 from helpers import observable_menu, random_symmetric_hamiltonian
 
@@ -48,7 +48,7 @@ class TestExactCoefficient:
         h = build_heisenberg_chain(4)
         c = build_total_sz(4)
         points = simultaneous_spectrum(h, c)
-        target = sector_ground(points, 1.0)
+        target = sector_ground_multi(points, (1.0,))
         exact = exact_coefficient(points, target)
         simple = simple_coefficient(target.energy, points[0].energy, 0.5)
         assert 0 < exact <= simple
@@ -117,7 +117,7 @@ class TestOrderingChain:
             points = simultaneous_spectrum(h, obs)
             charges = sorted({round(p.charge, 6) for p in points})
             c = float(charges[int(rng.integers(0, len(charges)))])
-            target = sector_ground(points, c)
+            target = sector_ground_multi(points, (c,))
             if target.index == 0:
                 continue
             exact = exact_coefficient(points, target)
@@ -139,7 +139,7 @@ class TestThresholdTightness:
             points = simultaneous_spectrum(h, obs)
             charges = sorted({round(p.charge, 6) for p in points})
             c = float(charges[int(rng.integers(0, len(charges)))])
-            target = sector_ground(points, c)
+            target = sector_ground_multi(points, (c,))
             if target.index == 0:
                 continue
             out.append((points, c, target))
