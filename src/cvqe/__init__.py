@@ -53,7 +53,6 @@ from .optimize import (
     OptimizationRecord,
     OptimizerConfig,
     TrialSummary,
-    gradient,
     minimize,
     run_trials,
 )
@@ -64,7 +63,6 @@ from .paulis import (
     commutes,
     multiply_terms,
     square_shifted,
-    trace,
 )
 from .penalties import (
     PenaltyConstraint,
@@ -79,8 +77,8 @@ from .simulator import (
     NoiseModel,
     StateVector,
     basis_state,
+    depolarize,
     expectation,
-    noisy_expectation,
     overlap_sq,
     prepare,
 )

@@ -49,9 +49,14 @@ from .errors import (
     SingleEigenvalue,
     TargetNotInCloud,
 )
-from .exactdiag import min_distinct_gap, sector_ground_multi, simultaneous_spectrum_multi
-from .optimize import OptimizerConfig, initial_params, minimize, run_trials
-from .paulis import PauliSum, trace
+from .exactdiag import (
+    in_sector,
+    min_distinct_gap,
+    sector_ground_multi,
+    simultaneous_spectrum_multi,
+)
+from .optimize import GRADIENT_RULES, OptimizerConfig, initial_params, minimize, run_trials
+from .paulis import PauliSum
 from .penalties import (
     PenaltyConstraint,
     exact_coefficient,
@@ -119,8 +124,6 @@ class ExperimentConfig:
     levels: int = 1
     beta: str | float = "auto-rough"  # auto-rough, auto-ce or a comma list; a number is one weight
     ce_estimates: tuple[float, float] | None = None
-    match_tol: float = 1e-8
-    oracle_limit: int = 12
     retry_on_miss: int = 0
 
 
@@ -266,12 +269,19 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         ("seeds", "--seeds", 1),
         ("depth", "--depth", 0),
         ("max_iterations", "config key 'max_iterations'", 1),
+        ("retry_on_miss", "config key 'retry_on_miss'", 0),
     ):
         if getattr(config, key) < low:
             raise ConfigError(f"{name} must be >= {low}, got {getattr(config, key)}")
+    if not config.grad_tol > 0:
+        raise ConfigError(f"config key 'grad_tol' must be > 0, got {config.grad_tol}")
     if config.hamiltonian is None:
         raise ConfigError("a Hamiltonian source is required (--hamiltonian or config)")
-    for key, spellings in (("form", _FORMS), ("optimizer", _OPTIMIZERS)):
+    for key, spellings in (
+        ("form", _FORMS),
+        ("optimizer", _OPTIMIZERS),
+        ("gradient", GRADIENT_RULES),
+    ):
         if getattr(config, key) not in spellings:
             raise ConfigError(
                 f"config key {key!r} must be one of {', '.join(spellings)}, "
@@ -342,21 +352,14 @@ class Workspace:
 
     def spectrum_points(self):
         if self._points is None:
-            self._points = simultaneous_spectrum_multi(
-                self.hamiltonian,
-                self.observables,
-                match_tol=self.config.match_tol,
-                oracle_limit=self.config.oracle_limit,
-            )
+            self._points = simultaneous_spectrum_multi(self.hamiltonian, self.observables)
         return self._points
 
     def sector_target(self):
         if not self.observables:
             points = self.spectrum_points()
             return points[0].energy, 0
-        target = sector_ground_multi(
-            self.spectrum_points(), self.targets, match_tol=self.config.match_tol
-        )
+        target = sector_ground_multi(self.spectrum_points(), self.targets)
         return target.energy, target.index
 
     def min_gap(self, index: int) -> float:
@@ -367,9 +370,7 @@ class Workspace:
             if universal is not None:
                 self._gaps[index] = universal
             else:
-                self._gaps[index] = min_distinct_gap(
-                    self.observables[index], oracle_limit=self.config.oracle_limit
-                )
+                self._gaps[index] = min_distinct_gap(self.observables[index])
         return self._gaps[index]
 
     def resolve_coefficient(self, index: int) -> float:
@@ -392,10 +393,8 @@ class Workspace:
             return simple_coefficient(e_target, e_ground, self.min_gap(index))
         if request.policy == "auto-exact":
             points = self.spectrum_points()
-            target = sector_ground_multi(points, self.targets, match_tol=self.config.match_tol)
-            return exact_coefficient(
-                points, target, match_tol=self.config.match_tol, constraint=index
-            )
+            target = sector_ground_multi(points, self.targets)
+            return exact_coefficient(points, target, constraint=index)
         raise ConfigError(f"unknown mu policy {request.policy!r}")
 
     def penalty_constraints(self, coefficient_override: float | None = None):
@@ -495,11 +494,7 @@ def cmd_spectrum(config: ExperimentConfig) -> int:
     for rank, point in enumerate(points):
         row = [rank, point.energy, *point.charges]
         if workspace.observables:
-            in_sector = all(
-                abs(c - t) <= config.match_tol
-                for c, t in zip(point.charges, workspace.targets)
-            )
-            row += [in_sector, rank == ground_rank]
+            row += [in_sector(point.charges, workspace.targets), rank == ground_rank]
         rows.append(row)
     _write_csv(config.out, header, rows)
     return EXIT_OK
@@ -700,15 +695,12 @@ def cmd_envelope(config: ExperimentConfig) -> int:
     plane = [(p.charges[0], p.energy) for p in points]
     target_charge = workspace.targets[0]
     e_target, _ = workspace.sector_target()
-    classification = classify_target(
-        plane, target_charge, e_target, tol=max(config.match_tol, 1e-9)
-    )
+    classification = classify_target(plane, target_charge, e_target)
     hull = lower_hull(plane)
     clearance = e_target - hull_energy_at(hull, target_charge)
     noise_p = config.noise_p
-    dim = 2**workspace.qubit_count
-    trace_h = trace(workspace.hamiltonian) / dim
-    trace_c = trace(workspace.observables[0]) / dim
+    trace_h = workspace.hamiltonian.identity_coefficient
+    trace_c = workspace.observables[0].identity_coefficient
 
     header = [
         "record",

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, PenaltyFormError
-from .paulis import PauliSum, trace
+from .paulis import PauliSum
 from .penalties import PenaltyConstraint
 from .simulator import NoiseModel, StateVector, apply, depolarize, expectation, overlap_sq
 
@@ -154,8 +154,7 @@ def depolarized_offset(spec: CostSpec) -> float:
     """
     if spec.form is not PenaltyForm.OPERATOR:
         raise PenaltyFormError("offset identity applies to the squared-operator form")
-    dim = 2**spec.qubit_count
-    total = trace(spec.hamiltonian)
+    total = spec.hamiltonian.identity_coefficient
     for constraint in spec.constraints:
-        total += constraint.coefficient * trace(constraint.square)
-    return total / dim
+        total += constraint.coefficient * constraint.square.identity_coefficient
+    return total

@@ -19,6 +19,10 @@ penalty weight.  Interior targets can never be reached for any weight.
 Depolarizing noise tilts the parabola; the exact noisy minimum reduces to
 the noiseless minimizer with transformed (c, mu), and the first-order
 shifts in p are available in closed form.
+
+One tolerance, :data:`PLANE_TOL`, decides every "same point" question in
+the plane: charges collapsed into one hull column, a target clamped onto
+the hull's ends, on the hull or not, and at a vertex or not.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidProbability, NotBoundary, TargetNotInCloud
+
+PLANE_TOL = 1e-9
 
 
 class EnvelopePoint(NamedTuple):
@@ -81,10 +87,10 @@ def as_points(points) -> list[EnvelopePoint]:
     return out
 
 
-def lower_hull(points, charge_tol: float = 1e-9) -> list[EnvelopePoint]:
+def lower_hull(points) -> list[EnvelopePoint]:
     """Vertices of the lower convex boundary, sorted by ascending charge.
 
-    Charges within ``charge_tol`` are collapsed to their minimum-energy
+    Charges within :data:`PLANE_TOL` are collapsed to their minimum-energy
     representative (vertical degeneracy carries no envelope information).
     Collinear interior points are removed.
     """
@@ -93,7 +99,7 @@ def lower_hull(points, charge_tol: float = 1e-9) -> list[EnvelopePoint]:
         raise ValueError("need at least one point")
     collapsed = [pts[0]]
     for p in pts[1:]:
-        if p.charge - collapsed[-1].charge <= charge_tol:
+        if p.charge - collapsed[-1].charge <= PLANE_TOL:
             if p.energy < collapsed[-1].energy:
                 collapsed[-1] = p
         else:
@@ -113,13 +119,14 @@ def lower_hull(points, charge_tol: float = 1e-9) -> list[EnvelopePoint]:
     return hull
 
 
-def hull_energy_at(hull: list[EnvelopePoint], charge: float, atol: float = 1e-9) -> float:
+def hull_energy_at(hull: list[EnvelopePoint], charge: float) -> float:
     """Piecewise-linear lower-envelope energy at the given charge.
 
-    Charges within ``atol`` of the hull ends are clamped (eigensolver
-    jitter can put an exact sector label marginally outside the hull).
+    Charges within :data:`PLANE_TOL` of the hull ends are clamped
+    (eigensolver jitter can put an exact sector label marginally outside
+    the hull).
     """
-    if charge < hull[0].charge - atol or charge > hull[-1].charge + atol:
+    if charge < hull[0].charge - PLANE_TOL or charge > hull[-1].charge + PLANE_TOL:
         raise ValueError(f"charge {charge} outside hull range")
     charge = min(max(charge, hull[0].charge), hull[-1].charge)
     for a, b in zip(hull, hull[1:]):
@@ -131,13 +138,15 @@ def hull_energy_at(hull: list[EnvelopePoint], charge: float, atol: float = 1e-9)
     return hull[-1].energy
 
 
-def classify_target(points, c: float, e_target: float, tol: float = 1e-9) -> Classification:
-    """Boundary iff the target point lies on the lower hull within tol."""
+def classify_target(points, c: float, e_target: float) -> Classification:
+    """Boundary iff the target point lies on the lower hull within :data:`PLANE_TOL`."""
     pts = as_points(points)
-    if not any(abs(p.charge - c) <= tol and abs(p.energy - e_target) <= tol for p in pts):
+    if not any(
+        abs(p.charge - c) <= PLANE_TOL and abs(p.energy - e_target) <= PLANE_TOL for p in pts
+    ):
         raise TargetNotInCloud(f"({c}, {e_target}) is not a spectrum point")
-    hull = lower_hull(pts, charge_tol=min(tol, 1e-9))
-    if e_target <= hull_energy_at(hull, c) + tol:
+    hull = lower_hull(pts)
+    if e_target <= hull_energy_at(hull, c) + PLANE_TOL:
         return Classification.BOUNDARY
     return Classification.INTERIOR
 
@@ -187,9 +196,7 @@ def minimize_expectation_penalty(points, c: float, mu: float) -> RelaxationMinim
     return best
 
 
-def tangent_closed_form(
-    points, c: float, e_target: float, mu: float, tol: float = 1e-9
-) -> TangentResult:
+def tangent_closed_form(points, c: float, e_target: float, mu: float) -> TangentResult:
     """Closed-form parabola/hull tangency for a boundary target.
 
     Returns the tangent-point formulas when the tangency lands inside the
@@ -199,14 +206,14 @@ def tangent_closed_form(
     """
     if mu <= 0:
         raise ValueError("penalty weight must be positive")
-    if classify_target(points, c, e_target, tol) is not Classification.BOUNDARY:
+    if classify_target(points, c, e_target) is not Classification.BOUNDARY:
         raise NotBoundary(f"target ({c}, {e_target}) is interior to the envelope")
     hull = lower_hull(points)
 
     left_slope = right_slope = None
     left_extent = right_extent = 0.0
     vertex_index = next(
-        (k for k, p in enumerate(hull) if abs(p.charge - c) <= tol), None
+        (k for k, p in enumerate(hull) if abs(p.charge - c) <= PLANE_TOL), None
     )
     if vertex_index is not None:
         k = vertex_index
@@ -234,7 +241,7 @@ def tangent_closed_form(
         case = TangentCase.BOUNDARY_TANGENT if flat else TangentCase.BOUNDARY_VERTEX
         return TangentResult(float(c), float(e_target), float(e_target), 0.0, case)
 
-    if abs(alpha) / (2.0 * mu) <= extent + tol:
+    if abs(alpha) / (2.0 * mu) <= extent + PLANE_TOL:
         return TangentResult(
             c_t=c - alpha / (2.0 * mu),
             e_t=e_target - alpha**2 / (2.0 * mu),

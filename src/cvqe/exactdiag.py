@@ -10,8 +10,10 @@ assignments are well defined even with exact degeneracies.
 Dense matrices are scattered from each operator's compiled X-mask groups
 (:attr:`cvqe.paulis.PauliSum.compiled`), the same groups the simulator's
 ``apply`` reads.  Everything here is a correctness oracle, not a
-performance path; the default size cap of 12 qubits keeps the dense
-4096^2 guarantee explicit.
+performance path.  Two constants own its decisions: the size cap
+:data:`ORACLE_QUBIT_LIMIT` keeps the dense 4096^2 guarantee explicit, and
+:data:`MATCH_TOL` decides which eigenvalues count as one level and which
+charges match a target.
 """
 
 from __future__ import annotations
@@ -25,6 +27,16 @@ from .paulis import PauliSum, coefficient_norm, commutes
 from .simulator import StateVector
 
 ORACLE_QUBIT_LIMIT = 12
+# Eigenvalues closer than MATCH_TOL * max(1, coefficient_norm) are one level;
+# a charge within MATCH_TOL of a target matches it.
+MATCH_TOL = 1e-8
+
+
+def _check_size(op: PauliSum):
+    if op.qubit_count > ORACLE_QUBIT_LIMIT:
+        raise OracleTooLarge(
+            f"{op.qubit_count} qubits exceeds oracle cap {ORACLE_QUBIT_LIMIT}"
+        )
 
 
 def dense_matrix(op: PauliSum) -> np.ndarray:
@@ -58,20 +70,24 @@ class SpectrumPoint:
 
 @dataclass(frozen=True)
 class SectorTarget:
-    """Ground state of the sector with the requested eigenvalue(s).
+    """Ground state of the sector with the requested charges, one per observable."""
 
-    ``charge`` is the first requested eigenvalue; ``charges`` holds all of
-    them, one per observable (empty means just ``charge``).
-    """
-
-    charge: float
+    charges: tuple[float, ...]
     index: int
     energy: float
-    charges: tuple[float, ...] = ()
+
+    @property
+    def charge(self) -> float:
+        return self.charges[0]
 
 
-def _cluster(sorted_values: np.ndarray, tol: float) -> list[slice]:
-    """Slices of consecutive near-equal entries in an ascending array."""
+def _levels(sorted_values: np.ndarray, op: PauliSum) -> list[slice]:
+    """Slices of consecutive entries of an ascending array of ``op``'s eigenvalues.
+
+    Neighbours closer than ``MATCH_TOL * max(1, coefficient_norm(op))`` are
+    one level.
+    """
+    tol = MATCH_TOL * max(1.0, coefficient_norm(op))
     slices = []
     start = 0
     for i in range(1, len(sorted_values) + 1):
@@ -81,12 +97,7 @@ def _cluster(sorted_values: np.ndarray, tol: float) -> list[slice]:
     return slices
 
 
-def simultaneous_spectrum_multi(
-    hamiltonian: PauliSum,
-    observables,
-    match_tol: float = 1e-8,
-    oracle_limit: int = ORACLE_QUBIT_LIMIT,
-) -> list[SpectrumPoint]:
+def simultaneous_spectrum_multi(hamiltonian: PauliSum, observables) -> list[SpectrumPoint]:
     """Full simultaneous eigenbasis of H and every commuting observable.
 
     Points come back in eigenvector index order, which is already sorted:
@@ -96,22 +107,19 @@ def simultaneous_spectrum_multi(
     So the order is (energy cluster, charge tuple, basis index), and it does
     not hinge on last-bit noise inside a degenerate multiplet.
     """
+    _check_size(hamiltonian)
     n = hamiltonian.qubit_count
-    if n > oracle_limit:
-        raise OracleTooLarge(f"{n} qubits exceeds oracle cap {oracle_limit}")
     observables = list(observables)
     for obs in observables:
-        if not commutes(hamiltonian, obs, 1e-10):
+        if not commutes(hamiltonian, obs):
             raise NotCommuting("observable does not commute with the Hamiltonian")
 
     energies, vectors = np.linalg.eigh(dense_matrix(hamiltonian))
-    e_tol = match_tol * max(1.0, coefficient_norm(hamiltonian))
-    blocks = _cluster(energies, e_tol)
+    blocks = _levels(energies, hamiltonian)
 
     charges = np.zeros((len(observables), 2**n))
     for k, obs in enumerate(observables):
         mat = dense_matrix(obs)
-        c_tol = match_tol * max(1.0, coefficient_norm(obs))
         refined = []
         for block in blocks:
             sub = vectors[:, block]
@@ -123,7 +131,7 @@ def simultaneous_spectrum_multi(
                 vectors[:, block] = sub @ rot
             charges[k, block] = vals
             offset = block.start
-            for piece in _cluster(vals, c_tol):
+            for piece in _levels(vals, obs):
                 refined.append(slice(offset + piece.start, offset + piece.stop))
         blocks = refined
 
@@ -137,32 +145,26 @@ def simultaneous_spectrum_multi(
     ]
 
 
-def simultaneous_spectrum(
-    hamiltonian: PauliSum,
-    observable: PauliSum,
-    match_tol: float = 1e-8,
-    oracle_limit: int = ORACLE_QUBIT_LIMIT,
-) -> list[SpectrumPoint]:
+def simultaneous_spectrum(hamiltonian: PauliSum, observable: PauliSum) -> list[SpectrumPoint]:
     """Simultaneous (charge, energy) eigenpairs for a single observable."""
-    return simultaneous_spectrum_multi(
-        hamiltonian, [observable], match_tol=match_tol, oracle_limit=oracle_limit
-    )
+    return simultaneous_spectrum_multi(hamiltonian, [observable])
 
 
-def sector_ground_multi(points, targets, match_tol: float = 1e-8) -> SectorTarget:
+def in_sector(charges, targets) -> bool:
+    """Whether every charge lies within :data:`MATCH_TOL` of its target."""
+    return all(abs(c - t) <= MATCH_TOL for c, t in zip(charges, targets))
+
+
+def sector_ground_multi(points, targets) -> SectorTarget:
     """Sector ground for a tuple of target charges, one per observable."""
     targets = tuple(targets)
     for rank, point in enumerate(points):
-        if all(abs(c - t) <= match_tol for c, t in zip(point.charges, targets)):
-            return SectorTarget(targets[0], rank, point.energy, targets)
-    raise EmptySector(f"no eigenstate with charges {targets} (tol {match_tol})")
+        if in_sector(point.charges, targets):
+            return SectorTarget(targets, rank, point.energy)
+    raise EmptySector(f"no eigenstate with charges {targets} (tol {MATCH_TOL})")
 
 
-def min_distinct_gap(
-    observable: PauliSum,
-    cluster_tol: float = 1e-8,
-    oracle_limit: int = ORACLE_QUBIT_LIMIT,
-) -> float:
+def min_distinct_gap(observable: PauliSum) -> float:
     """Smallest gap among distinct eigenvalues of the observable.
 
     Note this is the gap of the concrete operator instance, which can be
@@ -170,12 +172,9 @@ def min_distinct_gap(
     ``models.UNIVERSAL_MIN_GAPS``); both are valid penalty denominators,
     the universal one being the conservative choice.
     """
-    n = observable.qubit_count
-    if n > oracle_limit:
-        raise OracleTooLarge(f"{n} qubits exceeds oracle cap {oracle_limit}")
+    _check_size(observable)
     values = np.linalg.eigvalsh(dense_matrix(observable))
-    tol = cluster_tol * max(1.0, coefficient_norm(observable))
-    representatives = [float(np.mean(values[s])) for s in _cluster(values, tol)]
+    representatives = [float(np.mean(values[s])) for s in _levels(values, observable)]
     if len(representatives) < 2:
         raise SingleEigenvalue("observable is proportional to the identity")
     return float(min(np.diff(representatives)))

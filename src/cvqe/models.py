@@ -38,7 +38,7 @@ UNIVERSAL_MIN_GAPS = {
 }
 
 
-def parse_pauli_sum(text: str, drop_tol: float = 1e-12) -> PauliSum:
+def parse_pauli_sum(text: str) -> PauliSum:
     """Parse the line-oriented grammar above into a canonical PauliSum."""
     lines = text.split("\n")
     header = _tokenize(lines[0]) if lines else []
@@ -92,7 +92,7 @@ def parse_pauli_sum(text: str, drop_tol: float = 1e-12) -> PauliSum:
             seen.add(qubit)
             axes.append((qubit, axis))
         terms.append(PauliTerm(coefficient, axes))
-    return PauliSum(tuple(terms), qubit_count, drop_tol=drop_tol)
+    return PauliSum(tuple(terms), qubit_count)
 
 
 def _tokenize(line: str) -> list[tuple[int, str]]:

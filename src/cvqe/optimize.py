@@ -36,18 +36,28 @@ from .costs import (
 from .errors import NonFiniteCost, ParamCountMismatch
 from .simulator import AnsatzConfig, StateVector, prepare
 
+# Strong-Wolfe line search: sufficient-decrease and curvature constants, the
+# most doublings and bisections one search may take, and its narrowest bracket.
 _ARMIJO_SLOPE = 1e-4
+_CURVATURE = 0.9
+_MAX_BRACKET = 20
+_MAX_ZOOM = 30
 _MIN_STEP = 1e-14
+# Edge length of the simplex search's starting simplex.
+_SIMPLEX_STEP = 0.25
 # A predicted decrease below this, relative to max(1, |f|), is rounding noise.
 _SLOPE_FLOOR = 2.0 * np.finfo(float).eps
 # Seeds whose best costs differ by less than this (relative) are tied.
 _TIE_TOL = 1e-12
 
+# The rules CostEvaluator.gradient knows; the cli checks config spellings here.
+GRADIENT_RULES = ("parameter_shift", "central_difference")
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     method: str = "quasi_newton"  # "quasi_newton" | "simplex"
-    gradient: str = "parameter_shift"  # "parameter_shift" | "central_difference"
+    gradient: str = "parameter_shift"  # one of GRADIENT_RULES
     fd_step: float = 1e-6
     grad_tol: float = 1e-8
     max_iterations: int = 10_000
@@ -56,7 +66,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in ("quasi_newton", "simplex"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.gradient not in ("parameter_shift", "central_difference"):
+        if self.gradient not in GRADIENT_RULES:
             raise ValueError(f"unknown gradient kind {self.gradient!r}")
         if not all(math.isfinite(x) and x > 0 for x in (self.grad_tol, self.fd_step)):
             raise ValueError("tolerances must be positive and finite")
@@ -117,7 +127,7 @@ class CostEvaluator:
             raise ParamCountMismatch(
                 f"expected {self.ansatz.parameter_count} parameters, got {params.shape}"
             )
-        if kind not in ("parameter_shift", "central_difference"):
+        if kind not in GRADIENT_RULES:
             raise ValueError(f"unknown gradient kind {kind!r}")
         self.n_grad_evals += 1
         grad = np.empty_like(params)
@@ -157,17 +167,6 @@ def _shifted(params, step, measure):
         yield k, plus, measure(shifted)
 
 
-def gradient(
-    spec: CostSpec,
-    ansatz: AnsatzConfig,
-    params,
-    kind: str = "parameter_shift",
-    fd_step: float = 1e-6,
-) -> np.ndarray:
-    """Standalone gradient of the cost at ``params``."""
-    return CostEvaluator(spec, ansatz).gradient(params, kind=kind, fd_step=fd_step)
-
-
 def minimize(
     spec: CostSpec, ansatz: AnsatzConfig, config: OptimizerConfig, initial_params
 ) -> OptimizationRecord:
@@ -193,9 +192,7 @@ def minimize(
     )
 
 
-def _wolfe_search(
-    evaluator, config, x, direction, f0, df0, c1=_ARMIJO_SLOPE, c2=0.9, max_bracket=20
-):
+def _wolfe_search(evaluator, config, x, direction, f0, df0):
     """Strong-Wolfe line search (bracket + zoom) along ``x + step * direction``.
 
     Returns (step, f, g) or None.  Guarantees s.y > 0 at the accepted
@@ -210,33 +207,33 @@ def _wolfe_search(
 
     step_prev, f_prev = 0.0, f0
     step = 1.0
-    for i in range(max_bracket):
+    for i in range(_MAX_BRACKET):
         f_step = phi(step)
-        if f_step > f0 + c1 * step * df0 or (i > 0 and f_step >= f_prev):
-            return _zoom(phi, grad, direction, f0, df0, step_prev, f_prev, step, c1, c2)
+        if f_step > f0 + _ARMIJO_SLOPE * step * df0 or (i > 0 and f_step >= f_prev):
+            return _zoom(phi, grad, direction, f0, df0, step_prev, f_prev, step)
         g_step = grad(step)
         df_step = float(g_step @ direction)
-        if abs(df_step) <= -c2 * df0:
+        if abs(df_step) <= -_CURVATURE * df0:
             return step, f_step, g_step
         if df_step >= 0:
-            return _zoom(phi, grad, direction, f0, df0, step, f_step, step_prev, c1, c2)
+            return _zoom(phi, grad, direction, f0, df0, step, f_step, step_prev)
         step_prev, f_prev = step, f_step
         step *= 2.0
     return None
 
 
-def _zoom(phi, grad, direction, f0, df0, lo, f_lo, hi, c1, c2, max_zoom=30):
-    for _ in range(max_zoom):
+def _zoom(phi, grad, direction, f0, df0, lo, f_lo, hi):
+    for _ in range(_MAX_ZOOM):
         step = 0.5 * (lo + hi)
         if abs(hi - lo) < _MIN_STEP:
             break
         f_step = phi(step)
-        if f_step > f0 + c1 * step * df0 or f_step >= f_lo:
+        if f_step > f0 + _ARMIJO_SLOPE * step * df0 or f_step >= f_lo:
             hi = step
             continue
         g_step = grad(step)
         df_step = float(g_step @ direction)
-        if abs(df_step) <= -c2 * df0:
+        if abs(df_step) <= -_CURVATURE * df0:
             return step, f_step, g_step
         if df_step * (hi - lo) >= 0:
             hi = lo
@@ -292,12 +289,12 @@ def _minimize_bfgs(evaluator, config, x0):
     return x, f, trace
 
 
-def _minimize_simplex(evaluator, config, x0, nonzero_step=0.25):
+def _minimize_simplex(evaluator, config, x0):
     dim = x0.size
     simplex = [x0.copy()]
     for k in range(dim):
         vertex = x0.copy()
-        vertex[k] += nonzero_step
+        vertex[k] += _SIMPLEX_STEP
         simplex.append(vertex)
     values = [evaluator.value(v) for v in simplex]
     trace = [min(values)]

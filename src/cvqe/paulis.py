@@ -21,7 +21,7 @@ dense matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -30,6 +30,8 @@ import numpy as np
 from .errors import DimensionMismatch, HermiticityError
 
 DROP_TOLERANCE = 1e-12
+# Operators commute iff every coefficient of AB - BA is at most this.
+COMMUTE_TOL = 1e-10
 
 Axes = tuple[tuple[int, str], ...]
 
@@ -125,8 +127,8 @@ class PauliSum:
     """Canonical Hermitian sum of Pauli strings on ``qubit_count`` qubits.
 
     Construction canonicalizes: like terms are merged, coefficients with
-    magnitude below ``drop_tol`` are removed, terms are sorted by axes, and
-    a residual imaginary part above ``drop_tol`` raises
+    magnitude below :data:`DROP_TOLERANCE` are removed, terms are sorted by
+    axes, and a residual imaginary part above it raises
     :class:`~cvqe.errors.HermiticityError`.  Instances are immutable and
     hashable, so they can be shared freely; each builds its
     :attr:`compiled` groups at most once.
@@ -134,7 +136,6 @@ class PauliSum:
 
     terms: tuple[PauliTerm, ...]
     qubit_count: int
-    drop_tol: float = field(default=DROP_TOLERANCE, compare=False, repr=False)
 
     def __post_init__(self):
         n = int(self.qubit_count)
@@ -144,9 +145,9 @@ class PauliSum:
         canon = []
         for axes in sorted(merged):
             c = merged[axes]
-            if abs(c) < self.drop_tol:
+            if abs(c) < DROP_TOLERANCE:
                 continue
-            if abs(c.imag) > self.drop_tol:
+            if abs(c.imag) > DROP_TOLERANCE:
                 raise HermiticityError(
                     f"residual imaginary coefficient {c.imag:g} on term {axes}"
                 )
@@ -160,6 +161,7 @@ class PauliSum:
 
     @property
     def identity_coefficient(self) -> float:
+        """``tr(O) / 2^n``: every other Pauli string is traceless."""
         for t in self.terms:
             if t.is_identity:
                 return t.coefficient.real
@@ -259,13 +261,13 @@ def square_shifted(observable: PauliSum, shift: float) -> PauliSum:
     return PauliSum(terms, observable.qubit_count)
 
 
-def commutes(a: PauliSum, b: PauliSum, tol: float = 1e-10) -> bool:
-    """True iff every coefficient of ``AB - BA`` has magnitude <= tol."""
+def commutes(a: PauliSum, b: PauliSum) -> bool:
+    """True iff every coefficient of ``AB - BA`` has magnitude <= :data:`COMMUTE_TOL`."""
     a._check_dim(b)
     ab = _raw_product(a, b)
     ba = _raw_product(b, a)
     for axes in set(ab) | set(ba):
-        if abs(ab.get(axes, 0.0) - ba.get(axes, 0.0)) > tol:
+        if abs(ab.get(axes, 0.0) - ba.get(axes, 0.0)) > COMMUTE_TOL:
             return False
     return True
 
@@ -273,8 +275,3 @@ def commutes(a: PauliSum, b: PauliSum, tol: float = 1e-10) -> bool:
 def coefficient_norm(op: PauliSum) -> float:
     """Sum of absolute coefficients (identity included); bounds the spectral norm."""
     return float(sum(abs(t.coefficient) for t in op.terms))
-
-
-def trace(op: PauliSum) -> float:
-    """Exact trace: only the identity term survives, weighted by 2**n."""
-    return float(2**op.qubit_count) * op.identity_coefficient

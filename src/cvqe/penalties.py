@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import InconsistentTarget, InvalidEstimate, NotCommuting
-from .exactdiag import SectorTarget, min_distinct_gap
+from .exactdiag import MATCH_TOL, SectorTarget, in_sector, min_distinct_gap
 from .paulis import PauliSum, coefficient_norm, commutes, square_shifted
 
 
@@ -66,9 +66,7 @@ class PenaltyConstraint:
         return out
 
 
-def exact_coefficient(
-    points, target: SectorTarget, match_tol: float = 1e-8, constraint: int = 0
-) -> float:
+def exact_coefficient(points, target: SectorTarget, constraint: int = 0) -> float:
     """Tight threshold ``max_i (E_target - E_i) / (C_i - c)^2`` for one constraint.
 
     The max runs over the states below the target.  A state that already
@@ -77,16 +75,14 @@ def exact_coefficient(
     :class:`InconsistentTarget`.  Returns 0 when the target is the global
     ground state (no lower-lying states, so any positive coefficient works).
     """
-    targets = target.charges or (target.charge,)
     best = 0.0
     for point in points[: target.index]:
-        gaps = [charge - t for charge, t in zip(point.charges, targets)]
-        if all(abs(gap) <= match_tol for gap in gaps):
+        if in_sector(point.charges, target.charges):
             raise InconsistentTarget(
-                f"state below index {target.index} already has charges {targets}"
+                f"state below index {target.index} already has charges {target.charges}"
             )
-        gap_c = gaps[constraint]
-        if abs(gap_c) > match_tol:
+        gap_c = point.charges[constraint] - target.charges[constraint]
+        if abs(gap_c) > MATCH_TOL:
             best = max(best, (target.energy - point.energy) / gap_c**2)
     return float(best)
 
@@ -115,7 +111,6 @@ def multi_constraint_coefficients(
     e_target: float,
     e_ground: float,
     hamiltonian: PauliSum | None = None,
-    oracle_limit: int = 12,
 ) -> list[PenaltyConstraint]:
     """One PenaltyConstraint per (observable, target) pair.
 
@@ -126,9 +121,9 @@ def multi_constraint_coefficients(
     _check_energies(e_target, e_ground)
     out = []
     for observable, target in constraints:
-        if hamiltonian is not None and not commutes(hamiltonian, observable, 1e-10):
+        if hamiltonian is not None and not commutes(hamiltonian, observable):
             raise NotCommuting("constraint observable does not commute with H")
-        gap = min_distinct_gap(observable, oracle_limit=oracle_limit)
+        gap = min_distinct_gap(observable)
         out.append(
             PenaltyConstraint(
                 observable=observable,

@@ -75,11 +75,8 @@ class AnsatzConfig:
     qubit_count: int
     depth: int
     reference_state: str | None = None
-    kind: str = "hardware_efficient"
 
     def __post_init__(self):
-        if self.kind != "hardware_efficient":
-            raise ValueError(f"unknown ansatz kind {self.kind!r}")
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
         if self.qubit_count < 1:
@@ -179,8 +176,3 @@ def depolarize(pure: float, op: PauliSum, noise: NoiseModel) -> float:
     noise-invariant.
     """
     return (1.0 - noise.p) * pure + noise.p * op.identity_coefficient
-
-
-def noisy_expectation(op: PauliSum, state: StateVector, noise: NoiseModel) -> float:
-    """Expectation after the global depolarizing channel (see :func:`depolarize`)."""
-    return depolarize(expectation(op, state), op, noise)

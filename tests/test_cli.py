@@ -329,6 +329,26 @@ class TestEnvelope:
     def test_requires_constraint(self):
         assert run_cli(["envelope", "--hamiltonian", "builtin:heisenberg:2"]) == 1
 
+    def test_near_hull_target_is_classified_once(self, tmp_path):
+        # The sz=0 sector ground sits 5e-9 above the hull chord of the sz=+-1
+        # corners: past the plane tolerance, so interior, and no tangent row.
+        path = tmp_path / "near.psum"
+        path.write_text("qubits 2\n2.5e-9 I\n0.5 Z0\n0.5 Z1\n-2.5e-9 Z0 Z1\n")
+        out = tmp_path / "env.csv"
+        args = [
+            "envelope",
+            "--hamiltonian", path,
+            "--constraint", "sz=0",
+            "--mu-values", "1",
+            "--out", out,
+        ]
+        assert run_cli(args) == 0
+        rows = read_rows(out)
+        target = next(r for r in rows if r["record"] == "target")
+        assert target["classification"] == "interior"
+        assert float(target["clearance"]) == pytest.approx(4.999999969612645e-09, abs=1e-12)
+        assert not any(r["record"] == "tangent" for r in rows)
+
 
 class TestVqd:
     def test_first_excited_heisenberg(self, tmp_path):
@@ -465,7 +485,9 @@ class TestArgumentErrors:
          "string_depth_in_config", "nan_coefficient", "nan_mu", "inf_mu", "nan_target",
          "nan_mu_values", "nan_auto_ce", "nan_beta", "nan_ce_estimates",
          "int_ce_estimates_in_config", "string_c_in_config", "nan_literal_in_config",
-         "zero_max_iterations_in_config", "unknown_optimizer_in_config"],
+         "zero_max_iterations_in_config", "unknown_optimizer_in_config",
+         "unknown_gradient_in_config", "negative_grad_tol_in_config",
+         "negative_retry_on_miss_in_config", "oracle_limit_in_config", "match_tol_in_config"],
     )  # fmt: skip
     def test_bad_input_is_one_error_line(self, name, tmp_path, capsys):
         def config(stem, **fields):
@@ -513,6 +535,23 @@ class TestArgumentErrors:
             ),
             "unknown_optimizer_in_config": (
                 ["vqe", "--config", config("optimizer", optimizer="bfgs")], "'optimizer'",
+            ),
+            "unknown_gradient_in_config": (
+                ["vqe", "--config", config("gradient", gradient="adjoint")], "'gradient'",
+            ),
+            "negative_grad_tol_in_config": (
+                ["vqe", "--config", config("grad_tol", grad_tol=-1)], "'grad_tol'",
+            ),
+            "negative_retry_on_miss_in_config": (
+                ["vqe", "--config", config("retry", retry_on_miss=-2)], "'retry_on_miss'",
+            ),
+            # the oracle's size cap and equality tolerance are not settings
+            "oracle_limit_in_config": (
+                ["spectrum", "--config", config("cap", oracle_limit=0)], "'oracle_limit'",
+            ),
+            "match_tol_in_config": (
+                ["spectrum", "--config", config("tol", match_tol=-1), "--constraint", "sz=0"],
+                "'match_tol'",
             ),
         }[name]
         code = run_cli(argv)  # an escaping exception fails the test with its traceback

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cvqe.exactdiag as exactdiag
 from cvqe import (
     PauliSum,
     PauliTerm,
@@ -73,10 +74,16 @@ class TestSimultaneousSpectrum:
         with pytest.raises(NotCommuting):
             simultaneous_spectrum(h, build_total_sz(3))
 
-    def test_oracle_limit(self):
-        h = build_heisenberg_chain(4)
+    def test_oracle_limit(self, monkeypatch):
+        def no_dense(op):
+            raise AssertionError("built a dense matrix past the oracle cap")
+
+        monkeypatch.setattr(exactdiag, "dense_matrix", no_dense)
+        h = build_heisenberg_chain(13)
         with pytest.raises(OracleTooLarge):
-            simultaneous_spectrum(h, build_total_sz(4), oracle_limit=3)
+            simultaneous_spectrum(h, build_total_sz(13))
+        with pytest.raises(OracleTooLarge):
+            min_distinct_gap(h)
 
     def test_multi_observable_refinement(self):
         h = build_heisenberg_chain(4)

@@ -14,7 +14,6 @@ from cvqe import (
     build_heisenberg_chain,
     build_total_sz,
     evaluate_cost,
-    gradient,
     minimize,
     pauli_ops_per_eval,
     prepare,
@@ -47,14 +46,15 @@ class TestGradient:
         spec = CostSpec(hamiltonian=Z0)
         ansatz = AnsatzConfig(qubit_count=1, depth=0)
         params = np.zeros(2)
-        shift = gradient(spec, ansatz, params)
-        fd = gradient(spec, ansatz, params, kind="central_difference", fd_step=1e-5)
+        evaluator = CostEvaluator(spec, ansatz)
+        shift = evaluator.gradient(params)
+        fd = evaluator.gradient(params, kind="central_difference", fd_step=1e-5)
         assert np.max(np.abs(shift - fd)) < 1e-6
 
     def test_constant_cost_zero_gradient(self):
         spec = CostSpec(hamiltonian=PauliSum((PauliTerm(2.0),), 1))
         ansatz = AnsatzConfig(qubit_count=1, depth=1)
-        g = gradient(spec, ansatz, np.full(4, 0.7))
+        g = CostEvaluator(spec, ansatz).gradient(np.full(4, 0.7))
         assert np.max(np.abs(g)) < 1e-12
 
     def test_expectation_form_chain_rule_vanishes_on_sector_state(self):
@@ -64,25 +64,25 @@ class TestGradient:
         free = CostSpec(hamiltonian=spec.hamiltonian)
         ansatz = AnsatzConfig(qubit_count=2, depth=1)
         params = np.zeros(ansatz.parameter_count)  # prepares |00>, charge +1
-        g_pen = gradient(spec, ansatz, params)
-        g_free = gradient(free, ansatz, params)
+        g_pen = CostEvaluator(spec, ansatz).gradient(params)
+        g_free = CostEvaluator(free, ansatz).gradient(params)
         assert np.max(np.abs(g_pen - g_free)) < 1e-10
 
     def test_shift_matches_difference_both_forms(self):
         rng = np.random.default_rng(71)
         ansatz = AnsatzConfig(qubit_count=2, depth=1)
         for form in (PenaltyForm.OPERATOR, PenaltyForm.EXPECTATION):
-            spec = sector_spec(mu=1.3, form=form)
+            evaluator = CostEvaluator(sector_spec(mu=1.3, form=form), ansatz)
             for _ in range(50):
                 params = rng.uniform(0, 2 * np.pi, ansatz.parameter_count)
-                shift = gradient(spec, ansatz, params)
-                fd = gradient(spec, ansatz, params, kind="central_difference", fd_step=1e-6)
+                shift = evaluator.gradient(params)
+                fd = evaluator.gradient(params, kind="central_difference", fd_step=1e-6)
                 assert np.max(np.abs(shift - fd)) < 1e-5
 
     def test_param_count_checked(self):
         spec = CostSpec(hamiltonian=Z0)
         with pytest.raises(ParamCountMismatch):
-            gradient(spec, AnsatzConfig(qubit_count=1, depth=0), np.zeros(3))
+            CostEvaluator(spec, AnsatzConfig(qubit_count=1, depth=0)).gradient(np.zeros(3))
 
 
 class TestMinimize:

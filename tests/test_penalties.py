@@ -32,17 +32,17 @@ def point(charge, energy):
 class TestExactCoefficient:
     def test_two_level_toy(self):
         points = [point(0.0, -2.0), point(1.0, -1.0)]
-        target = SectorTarget(1.0, 1, -1.0)
+        target = SectorTarget((1.0,), 1, -1.0)
         assert exact_coefficient(points, target) == pytest.approx(1.0)
 
     def test_ground_sector_is_zero(self):
         points = [point(0.0, -2.0), point(1.0, -1.0)]
-        assert exact_coefficient(points, SectorTarget(0.0, 0, -2.0)) == 0.0
+        assert exact_coefficient(points, SectorTarget((0.0,), 0, -2.0)) == 0.0
 
     def test_inconsistent_target(self):
         points = [point(1.0, -2.0), point(1.0, -1.0)]
         with pytest.raises(InconsistentTarget):
-            exact_coefficient(points, SectorTarget(1.0, 1, -1.0))
+            exact_coefficient(points, SectorTarget((1.0,), 1, -1.0))
 
     def test_never_exceeds_simple(self):
         h = build_heisenberg_chain(4)

@@ -8,8 +8,8 @@ from cvqe import (
     PauliTerm,
     StateVector,
     basis_state,
+    depolarize,
     expectation,
-    noisy_expectation,
     overlap_sq,
     prepare,
 )
@@ -146,20 +146,20 @@ class TestOverlap:
 class TestNoise:
     def test_half_mix_on_z(self):
         op = PauliSum((PauliTerm(1.0, ((0, "Z"),)),), 1)
-        got = noisy_expectation(op, basis_state("0", 1), NoiseModel(0.5))
+        got = depolarize(expectation(op, basis_state("0", 1)), op, NoiseModel(0.5))
         assert got == pytest.approx(0.5)
 
     def test_p_zero_is_exact(self):
         rng = np.random.default_rng(10)
         op = random_pauli_sum(rng, 3, 5)
         s = StateVector(random_state(rng, 3), 3)
-        assert noisy_expectation(op, s, NoiseModel(0.0)) == expectation(op, s)
+        assert depolarize(expectation(op, s), op, NoiseModel(0.0)) == expectation(op, s)
 
     def test_identity_unaffected(self):
         op = PauliSum((PauliTerm(1.0),), 2)
         rng = np.random.default_rng(14)
         s = StateVector(random_state(rng, 2), 2)
-        assert noisy_expectation(op, s, NoiseModel(0.7)) == pytest.approx(1.0)
+        assert depolarize(expectation(op, s), op, NoiseModel(0.7)) == pytest.approx(1.0)
 
     def test_affine_in_p(self):
         rng = np.random.default_rng(15)
@@ -168,7 +168,7 @@ class TestNoise:
         pure = expectation(op, s)
         mixed = op.identity_coefficient
         for p in (0.1, 0.3, 0.9):
-            assert noisy_expectation(op, s, NoiseModel(p)) == pytest.approx(
+            assert depolarize(pure, op, NoiseModel(p)) == pytest.approx(
                 (1 - p) * pure + p * mixed, abs=1e-14
             )
 
