@@ -61,13 +61,11 @@ from .paulis import (
     PauliTerm,
     coefficient_norm,
     commutes,
-    multiply_terms,
     square_shifted,
 )
 from .penalties import (
     PenaltyConstraint,
     exact_coefficient,
-    multi_constraint_coefficients,
     rough_coefficient,
     simple_coefficient,
     vqd_beta_estimates,

@@ -20,9 +20,11 @@ Depolarizing noise tilts the parabola; the exact noisy minimum reduces to
 the noiseless minimizer with transformed (c, mu), and the first-order
 shifts in p are available in closed form.
 
-One tolerance, :data:`PLANE_TOL`, decides every "same point" question in
-the plane: charges collapsed into one hull column, a target clamped onto
-the hull's ends, on the hull or not, and at a vertex or not.
+One tolerance, :data:`PLANE_TOL`, decides every "same point" question of
+the hull geometry: charges collapsed into one hull column, a target clamped
+onto the hull's ends, on the hull or not, and at a vertex or not.  Whether
+a spectrum charge is the target's charge is the oracle's question
+(:func:`cvqe.exactdiag.in_sector`), so spectrum and envelope agree on it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidProbability, NotBoundary, TargetNotInCloud
+from .exactdiag import in_sector
 
 PLANE_TOL = 1e-9
 
@@ -139,14 +142,20 @@ def hull_energy_at(hull: list[EnvelopePoint], charge: float) -> float:
 
 
 def classify_target(points, c: float, e_target: float) -> Classification:
-    """Boundary iff the target point lies on the lower hull within :data:`PLANE_TOL`."""
+    """Boundary iff the target's spectrum point lies on the lower hull within :data:`PLANE_TOL`.
+
+    The target's point is one whose charge matches ``c`` by the oracle's own
+    rule (:func:`~cvqe.exactdiag.in_sector`) and whose energy is within
+    :data:`PLANE_TOL` of ``e_target``.
+    """
     pts = as_points(points)
-    if not any(
-        abs(p.charge - c) <= PLANE_TOL and abs(p.energy - e_target) <= PLANE_TOL for p in pts
-    ):
+    matches = [
+        p for p in pts if in_sector((p.charge,), (c,)) and abs(p.energy - e_target) <= PLANE_TOL
+    ]
+    if not matches:
         raise TargetNotInCloud(f"({c}, {e_target}) is not a spectrum point")
     hull = lower_hull(pts)
-    if e_target <= hull_energy_at(hull, c) + PLANE_TOL:
+    if e_target <= hull_energy_at(hull, matches[0].charge) + PLANE_TOL:
         return Classification.BOUNDARY
     return Classification.INTERIOR
 

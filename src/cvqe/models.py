@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .errors import ParseError
-from .paulis import PauliSum, PauliTerm
+from .paulis import MAX_QUBITS, PauliSum, PauliTerm
 
 # Universal smallest distinct-eigenvalue gaps per observable family, valid
 # for any system containing that symmetry (never larger than the gap of a
@@ -53,6 +53,8 @@ def parse_pauli_sum(text: str) -> PauliSum:
         raise ParseError(1, count_col, f"malformed qubit count {count_text!r}") from None
     if qubit_count < 1:
         raise ParseError(1, count_col, "qubit count must be positive")
+    if qubit_count > MAX_QUBITS:
+        raise ParseError(1, count_col, f"qubit count {qubit_count} exceeds {MAX_QUBITS}")
 
     terms: list[PauliTerm] = []
     for lineno, line in enumerate(lines[1:], start=2):

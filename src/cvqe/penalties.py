@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .errors import InconsistentTarget, InvalidEstimate, NotCommuting
-from .exactdiag import MATCH_TOL, SectorTarget, in_sector, min_distinct_gap
-from .paulis import PauliSum, coefficient_norm, commutes, square_shifted
+from .errors import InconsistentTarget, InvalidEstimate
+from .exactdiag import MATCH_TOL, SectorTarget, in_sector
+from .paulis import PauliSum, coefficient_norm, square_shifted
 
 
 def _check_energies(e_target: float, e_ground: float, kind: str = "energy"):
@@ -104,35 +104,6 @@ def rough_coefficient(hamiltonian: PauliSum, min_gap: float) -> float:
     if not (math.isfinite(min_gap) and min_gap > 0):
         raise InvalidEstimate("distinct-eigenvalue gap must be positive and finite")
     return 2.0 * coefficient_norm(hamiltonian) / min_gap**2
-
-
-def multi_constraint_coefficients(
-    constraints,
-    e_target: float,
-    e_ground: float,
-    hamiltonian: PauliSum | None = None,
-) -> list[PenaltyConstraint]:
-    """One PenaltyConstraint per (observable, target) pair.
-
-    Each coefficient is (E_target - E_ground) / gap_l^2 with gap_l the
-    observable's own smallest distinct-eigenvalue gap.  If a Hamiltonian is
-    supplied, commutation is verified first.
-    """
-    _check_energies(e_target, e_ground)
-    out = []
-    for observable, target in constraints:
-        if hamiltonian is not None and not commutes(hamiltonian, observable):
-            raise NotCommuting("constraint observable does not commute with H")
-        gap = min_distinct_gap(observable)
-        out.append(
-            PenaltyConstraint(
-                observable=observable,
-                target=float(target),
-                coefficient=(e_target - e_ground) / gap**2,
-                min_gap=gap,
-            )
-        )
-    return out
 
 
 def vqd_beta_estimates(

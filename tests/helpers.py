@@ -9,6 +9,8 @@ enumeration plus pairwise-transfer refinement.
 import sys
 
 import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from cvqe import (
     PauliSum,
@@ -39,6 +41,49 @@ def dense_oracle(op: PauliSum) -> np.ndarray:
             mat = np.kron(mat, _MATS.get(axes.get(q), _I))
         out += term.coefficient * mat
     return out
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def pauli_sums(draw, qubits=None):
+    n = qubits or draw(st.integers(1, 6))
+    strings = st.dictionaries(st.integers(0, n - 1), st.sampled_from("XYZ"))
+    terms = draw(st.lists(st.tuples(st.floats(-2.0, 2.0), strings), max_size=8))
+    return PauliSum(tuple(PauliTerm(c, axes) for c, axes in terms), n)
+
+
+# Single-qubit products A*B -> (phase, axis or None for the identity)
+_PRODUCTS = {
+    ("X", "X"): (1, None), ("Y", "Y"): (1, None), ("Z", "Z"): (1, None),
+    ("X", "Y"): (1j, "Z"), ("Y", "Z"): (1j, "X"), ("Z", "X"): (1j, "Y"),
+    ("Y", "X"): (-1j, "Z"), ("Z", "Y"): (-1j, "X"), ("X", "Z"): (-1j, "Y"),
+}  # fmt: skip
+
+
+def loop_square(op: PauliSum, shift: float) -> PauliSum:
+    """``(C - shift)^2`` by a loop over term pairs, left factor outer.
+
+    Like terms are summed in pair order, the order the library promises, so
+    every coefficient must come out as the same float.
+    """
+    shifted = op - PauliSum((PauliTerm(shift),), op.qubit_count)
+    sums: dict = {}
+    for a in shifted.terms:
+        for b in shifted.terms:
+            coefficient, axes, right = a.coefficient * b.coefficient, [], dict(b.axes)
+            for q, axis in a.axes:
+                if q not in right:
+                    axes.append((q, axis))
+                    continue
+                phase, product = _PRODUCTS[(axis, right.pop(q))]
+                coefficient *= phase
+                if product is not None:
+                    axes.append((q, product))
+            key = tuple(sorted(axes + list(right.items())))
+            sums[key] = sums.get(key, 0.0) + coefficient
+    return PauliSum(tuple(PauliTerm(c, axes) for axes, c in sums.items()), op.qubit_count)
 
 
 def random_pauli_sum(rng: np.random.Generator, n: int, n_terms: int = 6) -> PauliSum:

@@ -329,6 +329,24 @@ class TestEnvelope:
     def test_requires_constraint(self):
         assert run_cli(["envelope", "--hamiltonian", "builtin:heisenberg:2"]) == 1
 
+    def test_target_charge_matched_like_the_spectrum(self, tmp_path):
+        # The charge 1/3 is 3.3e-9 from the target: within the oracle's match
+        # tolerance, which spectrum uses to flag the sector ground, but past
+        # the plane tolerance of the hull geometry.
+        h, c = tmp_path / "h.psum", tmp_path / "c.psum"
+        h.write_text("qubits 1\n1.0 Z0\n")
+        c.write_text("qubits 1\n0.3333333333333333 Z0\n")
+        common = ["--hamiltonian", h, "--constraint", f"{c}=0.33333333"]
+        spectrum, envelope = tmp_path / "spectrum.csv", tmp_path / "env.csv"
+        assert run_cli(["spectrum", *common, "--out", spectrum]) == 0
+        flagged = [r for r in read_rows(spectrum) if r["is_sector_ground"] == "true"]
+        assert [r["energy"] for r in flagged] == ["1"]
+        assert run_cli(["envelope", *common, "--mu-values", "1,100", "--out", envelope]) == 0
+        rows = read_rows(envelope)
+        target = next(r for r in rows if r["record"] == "target")
+        assert (target["energy"], target["classification"]) == ("1", "boundary")
+        assert len([r for r in rows if r["record"] == "tangent"]) == 2
+
     def test_near_hull_target_is_classified_once(self, tmp_path):
         # The sz=0 sector ground sits 5e-9 above the hull chord of the sz=+-1
         # corners: past the plane tolerance, so interior, and no tangent row.
@@ -487,7 +505,8 @@ class TestArgumentErrors:
          "int_ce_estimates_in_config", "string_c_in_config", "nan_literal_in_config",
          "zero_max_iterations_in_config", "unknown_optimizer_in_config",
          "unknown_gradient_in_config", "negative_grad_tol_in_config",
-         "negative_retry_on_miss_in_config", "oracle_limit_in_config", "match_tol_in_config"],
+         "negative_retry_on_miss_in_config", "oracle_limit_in_config", "match_tol_in_config",
+         "sixty_three_qubits"],
     )  # fmt: skip
     def test_bad_input_is_one_error_line(self, name, tmp_path, capsys):
         def config(stem, **fields):
@@ -497,6 +516,8 @@ class TestArgumentErrors:
 
         nan_file = tmp_path / "nan.psum"
         nan_file.write_text("qubits 1\nnan Z0\n")
+        wide_file = tmp_path / "wide.psum"
+        wide_file.write_text("qubits 63\n1.0 Z62\n")
         vqe = ["vqe", "--hamiltonian", "builtin:heisenberg:2"]
         constraint = {"observable": "sz", "c": 1, "mu": "auto-ce"}
         # argv, and the flag or key the one error line must name
@@ -553,6 +574,8 @@ class TestArgumentErrors:
                 ["spectrum", "--config", config("tol", match_tol=-1), "--constraint", "sz=0"],
                 "'match_tol'",
             ),
+            # int64 masks hold 62 qubits
+            "sixty_three_qubits": (["spectrum", "--hamiltonian", wide_file], "line 1"),
         }[name]
         code = run_cli(argv)  # an escaping exception fails the test with its traceback
         err = capsys.readouterr().err

@@ -9,15 +9,13 @@ penalty is measured as ``||(C - c) psi||^2`` and checked against the dense
 """
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cvqe import (
     AnsatzConfig,
     CostSpec,
     OptimizerConfig,
-    PauliSum,
-    PauliTerm,
     PenaltyConstraint,
     StateVector,
     build_heisenberg_chain,
@@ -31,17 +29,7 @@ from cvqe import (
 )
 from cvqe.costs import squared_residual
 from cvqe.simulator import apply
-from helpers import dense_oracle, random_state
-
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-
-
-@st.composite
-def pauli_sums(draw, qubits=None):
-    n = qubits or draw(st.integers(1, 6))
-    strings = st.dictionaries(st.integers(0, n - 1), st.sampled_from("XYZ"))
-    terms = draw(st.lists(st.tuples(st.floats(-2.0, 2.0), strings), max_size=8))
-    return PauliSum(tuple(PauliTerm(c, axes) for c, axes in terms), n)
+from helpers import PROPERTY, dense_oracle, pauli_sums, random_state
 
 
 @PROPERTY

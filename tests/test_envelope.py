@@ -76,6 +76,13 @@ class TestClassifyTarget:
         with pytest.raises(TargetNotInCloud):
             classify_target(TOY, 0.5, 0.0)
 
+    def test_charge_matched_at_the_oracle_tolerance(self):
+        pts = [(-1 / 3, -1.0), (1 / 3, 1.0)]
+        # 3.3e-9 from the charge: a match for the oracle, so the point is found
+        assert classify_target(pts, 0.33333333, 1.0) is Classification.BOUNDARY
+        with pytest.raises(TargetNotInCloud):
+            classify_target(pts, 0.3333333, 1.0)  # 3.3e-8 away
+
 
 class TestOperatorPenaltyRelaxation:
     def test_linear_form_picks_vertex(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given
 
 from cvqe import (
     PauliSum,
@@ -18,7 +19,7 @@ from cvqe import (
     serialize_pauli_sum,
 )
 from cvqe.errors import ParseError
-from helpers import dense_oracle, random_pauli_sum
+from helpers import PROPERTY, dense_oracle, pauli_sums, random_pauli_sum
 
 
 def _dense_commutator_norm(a, b) -> float:
@@ -74,6 +75,12 @@ class TestParser:
             parse_pauli_sum(f"qubits 1\n0.5 Z0\n  {token} Z0\n")
         assert (err.value.line, err.value.column) == (3, 3)
 
+    def test_qubit_count_above_mask_width(self):
+        with pytest.raises(ParseError) as err:
+            parse_pauli_sum("qubits 63\n1.0 Z0\n")
+        assert (err.value.line, err.value.column) == (1, 8)
+        assert parse_pauli_sum("qubits 62\n1.0 Z61\n").qubit_count == 62
+
     def test_missing_header(self):
         with pytest.raises(ParseError, match="header"):
             parse_pauli_sum("0.5 Z0\n")
@@ -106,6 +113,11 @@ class TestSerializer:
             n = int(rng.integers(1, 6))
             s = random_pauli_sum(rng, n, int(rng.integers(1, 8)))
             assert parse_pauli_sum(serialize_pauli_sum(s)) == s
+
+    @PROPERTY
+    @given(pauli_sums())
+    def test_round_trip_property(self, op):
+        assert parse_pauli_sum(serialize_pauli_sum(op)) == op
 
     def test_empty_sum(self):
         assert serialize_pauli_sum(PauliSum((), 3)) == "qubits 3\n"

@@ -1,55 +1,72 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cvqe import (
     PauliSum,
     PauliTerm,
     coefficient_norm,
     commutes,
-    multiply_terms,
     square_shifted,
 )
 from cvqe.errors import DimensionMismatch, HermiticityError
-from helpers import dense_oracle, random_pauli_sum
+from cvqe.paulis import MAX_QUBITS
+from helpers import PROPERTY, dense_oracle, loop_square, pauli_sums, random_pauli_sum
+
+
+def single(axis: str, weight: float = 1.0, qubit: int = 0, n: int = 1) -> PauliSum:
+    return PauliSum((PauliTerm(weight, ((qubit, axis),)),), n)
 
 
 class TestTermProducts:
+    """Term products, seen through the two sum-level products.
+
+    ``(A + B)^2 = A^2 + B^2 + (AB + BA)`` checks the real part of each
+    product, and ``commutes`` whether ``AB - BA``, the imaginary part,
+    vanishes.
+    """
+
     def test_involution(self):
-        t = multiply_terms(PauliTerm(1.0, ((0, "X"),)), PauliTerm(1.0, ((0, "X"),)))
-        assert t.coefficient == 1.0 and t.axes == ()
+        assert square_shifted(single("X"), 0.0) == PauliSum((PauliTerm(1.0),), 1)
 
     def test_xy_gives_iz(self):
-        t = multiply_terms(PauliTerm(1.0, ((0, "X"),)), PauliTerm(1.0, ((0, "Y"),)))
-        assert t.coefficient == 1j and t.axes == ((0, "Z"),)
+        # XY = iZ = -YX: the cross terms cancel in (X + Y)^2, and X, Y do not commute
+        assert square_shifted(single("X") + single("Y"), 0.0) == PauliSum((PauliTerm(2.0),), 1)
+        assert not commutes(single("X"), single("Y"))
 
     def test_disjoint_supports(self):
-        t = multiply_terms(PauliTerm(2.0, ((0, "X"),)), PauliTerm(0.5, ((1, "Y"),)))
-        assert t.coefficient == 1.0 and t.axes == ((0, "X"), (1, "Y"))
+        a, b = single("X", 2.0, 0, 2), single("Y", 0.5, 1, 2)
+        expected = PauliSum((PauliTerm(4.25), PauliTerm(2.0, ((0, "X"), (1, "Y")))), 2)
+        assert square_shifted(a + b, 0.0) == expected
+        assert commutes(a, b)
 
     def test_single_qubit_table_matches_dense(self):
         # every ordered pair of single-qubit terms against 2x2 matrices
-        for a in ("X", "Y", "Z"):
-            for b in ("X", "Y", "Z"):
-                t = multiply_terms(PauliTerm(1.0, ((0, a),)), PauliTerm(1.0, ((0, b),)))
-                result = t.coefficient * dense_oracle(
-                    PauliSum((PauliTerm(1.0, t.axes),), 1)
-                )
-                expected = dense_oracle(PauliSum((PauliTerm(1.0, ((0, a),)),), 1)) @ dense_oracle(
-                    PauliSum((PauliTerm(1.0, ((0, b),)),), 1)
-                )
-                assert np.allclose(result, expected, atol=1e-15)
+        for a in "XYZ":
+            for b in "XYZ":
+                left, right = single(a, 0.5), single(b, 2.0)
+                ma, mb = dense_oracle(left), dense_oracle(right)
+                square = dense_oracle(square_shifted(left + right, 0.0))
+                assert np.allclose(square, (ma + mb) @ (ma + mb), atol=1e-15)
+                assert commutes(left, right) == np.allclose(ma @ mb, mb @ ma)
 
     def test_multi_qubit_product_matches_dense(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
             n = int(rng.integers(2, 5))
-            ta = random_pauli_sum(rng, n, 1).terms[0]
-            tb = random_pauli_sum(rng, n, 1).terms[0]
-            t = multiply_terms(ta, tb)
-            left = dense_oracle(PauliSum((PauliTerm(1.0, ta.axes),), n)) * ta.coefficient
-            right = dense_oracle(PauliSum((PauliTerm(1.0, tb.axes),), n)) * tb.coefficient
-            prod = t.coefficient * dense_oracle(PauliSum((PauliTerm(1.0, t.axes),), n))
-            assert np.allclose(prod, left @ right, atol=1e-12)
+            a, b = random_pauli_sum(rng, n, 1), random_pauli_sum(rng, n, 1)
+            ma, mb = dense_oracle(a), dense_oracle(b)
+            square = dense_oracle(square_shifted(a + b, 0.0))
+            assert np.allclose(square, (ma + mb) @ (ma + mb), atol=1e-12)
+            assert commutes(a, b) == np.allclose(ma @ mb, mb @ ma, atol=1e-12)
+
+    def test_widest_masks(self):
+        # qubit 61 is the top bit of a 62-qubit mask
+        c = PauliSum((PauliTerm(1.0, ((61, "X"),)), PauliTerm(1.0, ((0, "Z"), (61, "Y")))), 62)
+        assert square_shifted(c, 0.0) == PauliSum((PauliTerm(2.0),), 62)
+        assert not commutes(single("X", qubit=61, n=62), single("Z", qubit=61, n=62))
+        assert [t.axes for t in c.terms] == [((0, "Z"), (61, "Y")), ((61, "X"),)]
 
 
 class TestCanonicalization:
@@ -76,6 +93,18 @@ class TestCanonicalization:
         with pytest.raises(ValueError):
             PauliSum((PauliTerm(1.0, ((3, "X"),)),), 2)
 
+    def test_qubit_count_capped_by_mask_width(self):
+        assert PauliSum((), MAX_QUBITS).qubit_count == 62
+        for n in (0, MAX_QUBITS + 1):
+            with pytest.raises(ValueError):
+                PauliSum((), n)
+
+    @PROPERTY
+    @given(pauli_sums())
+    def test_terms_sorted_by_axes(self, op):
+        axes = [t.axes for t in op.terms]
+        assert axes == sorted(set(axes))
+
     def test_deterministic_ordering(self):
         a = PauliSum((PauliTerm(1.0, ((1, "Z"),)), PauliTerm(2.0, ((0, "X"),))), 2)
         b = PauliSum((PauliTerm(2.0, ((0, "X"),)), PauliTerm(1.0, ((1, "Z"),))), 2)
@@ -91,6 +120,18 @@ class TestSquareShifted:
     def test_identity_shift_is_zero(self):
         c = PauliSum((PauliTerm(1.0),), 2)
         assert square_shifted(c, 1.0).terms == ()
+
+    @PROPERTY
+    @given(pauli_sums(), st.floats(-2.0, 2.0))
+    def test_matches_dense_square(self, c, shift):
+        m = dense_oracle(c) - shift * np.eye(2**c.qubit_count)
+        scale = max(1.0, coefficient_norm(c) + abs(shift)) ** 2
+        assert np.max(np.abs(dense_oracle(square_shifted(c, shift)) - m @ m)) <= 1e-12 * scale
+
+    @PROPERTY
+    @given(pauli_sums(), st.floats(-2.0, 2.0))
+    def test_sums_in_pair_order(self, c, shift):
+        assert square_shifted(c, shift) == loop_square(c, shift)
 
     def test_random_against_dense(self):
         rng = np.random.default_rng(2)

@@ -10,8 +10,8 @@ from cvqe import (
     build_s_squared,
     build_total_sz,
     exact_coefficient,
+    min_distinct_gap,
     minimize_operator_penalty,
-    multi_constraint_coefficients,
     rough_coefficient,
     sector_ground_multi,
     simple_coefficient,
@@ -170,29 +170,29 @@ class TestThresholdTightness:
 
 
 class TestMultiConstraint:
+    """One weight per constraint: simple_coefficient over that observable's own gap."""
+
     def test_two_gaps(self):
-        obs_a = build_total_sz(2)  # used as carriers; gaps computed from operators
-        obs_b = build_s_squared(2)
-        result = multi_constraint_coefficients(
-            [(obs_a, 1.0), (obs_b, 2.0)], e_target=2.0, e_ground=0.0
-        )
         # instance gaps: total-Sz on 2 sites -> 1, S^2 on 2 sites -> 2
-        assert result[0].coefficient == pytest.approx(2.0)
-        assert result[1].coefficient == pytest.approx(0.5)
+        gaps = [min_distinct_gap(build_total_sz(2)), min_distinct_gap(build_s_squared(2))]
+        assert gaps == pytest.approx([1.0, 2.0])
+        assert [simple_coefficient(2.0, 0.0, gap) for gap in gaps] == pytest.approx([2.0, 0.5])
 
     def test_single_equals_simple(self):
-        obs = build_total_sz(3)
-        (constraint,) = multi_constraint_coefficients([(obs, 0.5)], 1.0, -1.0)
-        assert constraint.coefficient == pytest.approx(
-            simple_coefficient(1.0, -1.0, constraint.min_gap)
-        )
+        # total-Sz on 3 sites steps by 1, so the weight is the bare energy gap
+        gap = min_distinct_gap(build_total_sz(3))
+        assert gap == pytest.approx(1.0)
+        assert simple_coefficient(1.0, -1.0, gap) == pytest.approx(2.0)
+        with pytest.raises(InvalidEstimate):
+            simple_coefficient(-1.0, 1.0, gap)
 
     def test_commutation_checked(self):
-        from cvqe import build_transverse_field_ising
+        from cvqe import build_transverse_field_ising, build_z_parity
 
+        # parity commutes with the transverse-field Ising chain, Sz does not
         h = build_transverse_field_ising(3)
         with pytest.raises(NotCommuting):
-            multi_constraint_coefficients([(build_total_sz(3), 0.5)], 1.0, 0.0, hamiltonian=h)
+            simultaneous_spectrum_multi(h, [build_z_parity(3), build_total_sz(3)])
 
     def test_doubly_constrained_optimum_lands_in_sector(self):
         h = build_heisenberg_chain(4)
@@ -200,9 +200,11 @@ class TestMultiConstraint:
         targets = (2.0, -1.0)
         points = simultaneous_spectrum_multi(h, obs)
         sector = sector_ground_multi(points, targets)
-        constraints = multi_constraint_coefficients(
-            list(zip(obs, targets)), sector.energy, points[0].energy, hamiltonian=h
-        )
+        constraints = []
+        for observable, target in zip(obs, targets):
+            gap = min_distinct_gap(observable)
+            mu = simple_coefficient(sector.energy, points[0].energy, gap)
+            constraints.append(PenaltyConstraint(observable, target, mu, gap))
         # exhaustive check over the simultaneous eigenbasis
         values = [
             p.energy
