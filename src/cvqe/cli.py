@@ -50,6 +50,7 @@ from .errors import (
     TargetNotInCloud,
 )
 from .exactdiag import (
+    SectorTarget,
     in_sector,
     min_distinct_gap,
     sector_ground_multi,
@@ -343,6 +344,7 @@ class Workspace:
             self.observables.append(op)
             self.targets.append(request.target)
         self._points = None
+        self._target: SectorTarget | None = None
         self._gaps: dict[int, float] = {}
         self._constraints: tuple[PenaltyConstraint, ...] | None = None
 
@@ -355,12 +357,11 @@ class Workspace:
             self._points = simultaneous_spectrum_multi(self.hamiltonian, self.observables)
         return self._points
 
-    def sector_target(self):
-        if not self.observables:
-            points = self.spectrum_points()
-            return points[0].energy, 0
-        target = sector_ground_multi(self.spectrum_points(), self.targets)
-        return target.energy, target.index
+    def sector_target(self) -> SectorTarget:
+        """Ground of the target sector; with no constraints, the global ground."""
+        if self._target is None:
+            self._target = sector_ground_multi(self.spectrum_points(), self.targets)
+        return self._target
 
     def min_gap(self, index: int) -> float:
         """Universal per-family gap for builtins, computed gap otherwise."""
@@ -388,13 +389,11 @@ class Workspace:
             except InvalidEstimate as exc:
                 raise ConfigError(str(exc)) from exc
         if request.policy == "auto-simple":
-            e_target, _ = self.sector_target()
             e_ground = self.spectrum_points()[0].energy
-            return simple_coefficient(e_target, e_ground, self.min_gap(index))
+            return simple_coefficient(self.sector_target().energy, e_ground, self.min_gap(index))
         if request.policy == "auto-exact":
-            points = self.spectrum_points()
-            target = sector_ground_multi(points, self.targets)
-            return exact_coefficient(points, target, constraint=index)
+            target = self.sector_target()
+            return exact_coefficient(self.spectrum_points(), target, constraint=index)
         raise ConfigError(f"unknown mu policy {request.policy!r}")
 
     def penalty_constraints(self, coefficient_override: float | None = None):
@@ -405,8 +404,13 @@ class Workspace:
         """
         count = len(self.observables)
         if coefficient_override is None:
-            # 0 means a ground-sector target: any positive weight works
-            coefficients = [self.resolve_coefficient(index) or 1.0 for index in range(count)]
+            # an auto policy's 0 means a ground-sector target: any positive
+            # weight works; an explicit mu=0 stays 0 and runs unpenalized
+            coefficients = [
+                self.resolve_coefficient(index)
+                or (0.0 if request.policy == "value" else 1.0)
+                for index, request in enumerate(self.config.constraints)
+            ]
         else:
             coefficients = [coefficient_override] * count
         if self._constraints is None:
@@ -483,9 +487,7 @@ def _sector_miss(workspace: Workspace, record) -> bool:
 def cmd_spectrum(config: ExperimentConfig) -> int:
     workspace = Workspace(config)
     points = workspace.spectrum_points()
-    ground_rank = None
-    if workspace.observables:
-        _, ground_rank = workspace.sector_target()
+    ground_rank = workspace.sector_target().index
     header = ["index", "energy"]
     header += [f"charge_{name}" for name in workspace.observable_names]
     if workspace.observables:
@@ -544,7 +546,7 @@ _TRIAL_HEADER_PREFIX = [
 
 def cmd_vqe(config: ExperimentConfig) -> int:
     workspace = Workspace(config)
-    e_reference, _ = workspace.sector_target()
+    e_reference = workspace.sector_target().energy
     spec = workspace.cost_spec(workspace.penalty_constraints())
     records, _ = run_trials(
         spec, workspace.ansatz(), workspace.optimizer_config(), config.seeds
@@ -584,7 +586,7 @@ def cmd_scan_mu(config: ExperimentConfig) -> int:
     if not config.mu_values:
         raise ConfigError("scan-mu needs a non-empty mu list")
     workspace = Workspace(config)
-    e_reference, _ = workspace.sector_target()
+    e_reference = workspace.sector_target().energy
     header = [
         "mu",
         "form",
@@ -694,10 +696,12 @@ def cmd_envelope(config: ExperimentConfig) -> int:
     # The first constraint defines the (charge, energy) plane.
     plane = [(p.charges[0], p.energy) for p in points]
     target_charge = workspace.targets[0]
-    e_target, _ = workspace.sector_target()
+    target = workspace.sector_target()
+    e_target = target.energy
     classification = classify_target(plane, target_charge, e_target)
     hull = lower_hull(plane)
-    clearance = e_target - hull_energy_at(hull, target_charge)
+    # measured at the target's own spectrum charge, not the requested one
+    clearance = e_target - hull_energy_at(hull, points[target.index].charges[0])
     noise_p = config.noise_p
     trace_h = workspace.hamiltonian.identity_coefficient
     trace_c = workspace.observables[0].identity_coefficient

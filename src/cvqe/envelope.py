@@ -15,10 +15,12 @@ the minimum is
     f_min      = E_target - alpha^2/(4 mu),
 
 so the result always undershoots the target by alpha^2/(4 mu) for finite
-penalty weight.  Interior targets can never be reached for any weight.
-Depolarizing noise tilts the parabola; the exact noisy minimum reduces to
-the noiseless minimizer with transformed (c, mu), and the first-order
-shifts in p are available in closed form.
+penalty weight.  (The target sits at its own spectrum charge c0, within
+``MATCH_TOL`` of c; E_t and f_min then both gain alpha (c - c0).)  Interior
+targets can never be reached for any weight.  Depolarizing noise tilts the
+parabola; the exact noisy minimum reduces to the noiseless minimizer with
+transformed (c, mu), and the first-order shifts in p are available in
+closed form.
 
 One tolerance, :data:`PLANE_TOL`, decides every "same point" question of
 the hull geometry: charges collapsed into one hull column, a target clamped
@@ -80,14 +82,8 @@ class OperatorPenaltyMinimum(NamedTuple):
 
 
 def as_points(points) -> list[EnvelopePoint]:
-    out = []
-    for p in points:
-        if hasattr(p, "charge") and hasattr(p, "energy"):
-            out.append(EnvelopePoint(float(p.charge), float(p.energy)))
-        else:
-            c, e = p
-            out.append(EnvelopePoint(float(c), float(e)))
-    return out
+    """``(charge, energy)`` pairs as :class:`EnvelopePoint` s."""
+    return [EnvelopePoint(float(c), float(e)) for c, e in points]
 
 
 def lower_hull(points) -> list[EnvelopePoint]:
@@ -141,21 +137,20 @@ def hull_energy_at(hull: list[EnvelopePoint], charge: float) -> float:
     return hull[-1].energy
 
 
-def classify_target(points, c: float, e_target: float) -> Classification:
-    """Boundary iff the target's spectrum point lies on the lower hull within :data:`PLANE_TOL`.
+def _target_point(pts: list[EnvelopePoint], c: float, e_target: float) -> EnvelopePoint:
+    """The first point whose charge matches ``c`` (:func:`~cvqe.exactdiag.in_sector`)
+    and whose energy is within :data:`PLANE_TOL` of ``e_target``."""
+    for p in pts:
+        if in_sector((p.charge,), (c,)) and abs(p.energy - e_target) <= PLANE_TOL:
+            return p
+    raise TargetNotInCloud(f"({c}, {e_target}) is not a spectrum point")
 
-    The target's point is one whose charge matches ``c`` by the oracle's own
-    rule (:func:`~cvqe.exactdiag.in_sector`) and whose energy is within
-    :data:`PLANE_TOL` of ``e_target``.
-    """
+
+def classify_target(points, c: float, e_target: float) -> Classification:
+    """Boundary iff the target's spectrum point lies on the lower hull within :data:`PLANE_TOL`."""
     pts = as_points(points)
-    matches = [
-        p for p in pts if in_sector((p.charge,), (c,)) and abs(p.energy - e_target) <= PLANE_TOL
-    ]
-    if not matches:
-        raise TargetNotInCloud(f"({c}, {e_target}) is not a spectrum point")
-    hull = lower_hull(pts)
-    if e_target <= hull_energy_at(hull, matches[0].charge) + PLANE_TOL:
+    target = _target_point(pts, c, e_target)
+    if e_target <= hull_energy_at(lower_hull(pts), target.charge) + PLANE_TOL:
         return Classification.BOUNDARY
     return Classification.INTERIOR
 
@@ -208,64 +203,57 @@ def minimize_expectation_penalty(points, c: float, mu: float) -> RelaxationMinim
 def tangent_closed_form(points, c: float, e_target: float, mu: float) -> TangentResult:
     """Closed-form parabola/hull tangency for a boundary target.
 
-    Returns the tangent-point formulas when the tangency lands inside the
-    downhill adjacent edge; when the parabola pins a vertex instead (small
-    weight, or the target itself when it is the hull bottom), the exact
-    relaxation minimum is returned with case BOUNDARY_VERTEX.
+    The target sits at its own spectrum charge c0, which may differ from the
+    parabola centre ``c`` by up to :data:`~cvqe.exactdiag.MATCH_TOL`.  When
+    the tangency lands inside the downhill edge of slope ``alpha`` adjacent to
+    c0, the minimum is ``E_target + alpha (c - c0) - alpha^2/(4 mu)``; when the
+    parabola pins a vertex instead (small weight, or the target itself when
+    it is the hull bottom), the exact relaxation minimum is returned with case
+    BOUNDARY_VERTEX, or BOUNDARY_TANGENT on a flat bottom edge.
     """
     if mu <= 0:
         raise ValueError("penalty weight must be positive")
     if classify_target(points, c, e_target) is not Classification.BOUNDARY:
         raise NotBoundary(f"target ({c}, {e_target}) is interior to the envelope")
-    hull = lower_hull(points)
+    pts = as_points(points)
+    c0 = _target_point(pts, c, e_target).charge
+    hull = lower_hull(pts)
 
-    left_slope = right_slope = None
-    left_extent = right_extent = 0.0
-    vertex_index = next(
-        (k for k, p in enumerate(hull) if abs(p.charge - c) <= PLANE_TOL), None
-    )
-    if vertex_index is not None:
-        k = vertex_index
-        if k > 0:
-            left_slope = _slope(hull[k - 1], hull[k])
-            left_extent = c - hull[k - 1].charge
-        if k < len(hull) - 1:
-            right_slope = _slope(hull[k], hull[k + 1])
-            right_extent = hull[k + 1].charge - c
+    # The hull edges on either side of c0: two at a vertex, one edge twice inside it.
+    k = next((k for k, p in enumerate(hull) if abs(p.charge - c0) <= PLANE_TOL), None)
+    if k is not None:
+        left = (hull[k - 1], hull[k]) if k > 0 else None
+        right = (hull[k], hull[k + 1]) if k < len(hull) - 1 else None
     else:
-        for a, b in zip(hull, hull[1:]):
-            if a.charge < c < b.charge:
-                left_slope = right_slope = _slope(a, b)
-                left_extent = c - a.charge
-                right_extent = b.charge - c
-                break
+        edges = zip(hull, hull[1:])
+        left = right = next(((a, b) for a, b in edges if a.charge < c0 < b.charge), None)
 
-    if left_slope is not None and left_slope > 0:
-        alpha, extent = left_slope, left_extent
-    elif right_slope is not None and right_slope < 0:
-        alpha, extent = right_slope, right_extent
+    if left is not None and _slope(*left) > 0:
+        edge = left
+    elif right is not None and _slope(*right) < 0:
+        edge = right
     else:
-        # Target is the hull bottom: the parabola touches it exactly.
-        flat = (left_slope == 0.0) or (right_slope == 0.0)
+        edge = None
+    if edge is None:
+        # Target is the hull bottom: the parabola touches it at its own point.
+        flat = any(e is not None and _slope(*e) == 0.0 for e in (left, right))
+        alpha = 0.0
         case = TangentCase.BOUNDARY_TANGENT if flat else TangentCase.BOUNDARY_VERTEX
-        return TangentResult(float(c), float(e_target), float(e_target), 0.0, case)
-
-    if abs(alpha) / (2.0 * mu) <= extent + PLANE_TOL:
-        return TangentResult(
-            c_t=c - alpha / (2.0 * mu),
-            e_t=e_target - alpha**2 / (2.0 * mu),
-            f_min=e_target - alpha**2 / (4.0 * mu),
-            alpha=float(alpha),
-            case=TangentCase.BOUNDARY_TANGENT,
-        )
-    exact = minimize_expectation_penalty(points, c, mu)
-    return TangentResult(
-        c_t=exact.c_opt,
-        e_t=exact.e_opt,
-        f_min=exact.f_min,
-        alpha=float(alpha),
-        case=TangentCase.BOUNDARY_VERTEX,
-    )
+    else:
+        alpha = _slope(*edge)
+        c_t = c - alpha / (2.0 * mu)
+        if edge[0].charge - PLANE_TOL <= c_t <= edge[1].charge + PLANE_TOL:
+            shift = alpha * (c - c0)
+            return TangentResult(
+                c_t=c_t,
+                e_t=e_target + shift - alpha**2 / (2.0 * mu),
+                f_min=e_target + shift - alpha**2 / (4.0 * mu),
+                alpha=float(alpha),
+                case=TangentCase.BOUNDARY_TANGENT,
+            )
+        case = TangentCase.BOUNDARY_VERTEX
+    exact = minimize_expectation_penalty(pts, c, mu)
+    return TangentResult(exact.c_opt, exact.e_opt, exact.f_min, float(alpha), case)
 
 
 def _slope(a: EnvelopePoint, b: EnvelopePoint) -> float:

@@ -2,9 +2,10 @@
 
 Produces the simultaneous eigenbasis of a Hamiltonian and one or more
 commuting conserved quantities, sector-resolved ground states, and the
-smallest gap among distinct eigenvalues of an observable.  Degenerate
-Hamiltonian eigenspaces are resolved by diagonalizing each observable
-restricted to the eigenspace (no magic-shift tricks), so (charge, energy)
+smallest gap among distinct eigenvalues of an observable.  Each observable
+is projected into the Hamiltonian's eigenbasis once, by one dense product
+``C @ V``; every energy cluster, singletons included, then diagonalizes its
+own block of ``V^dagger C V`` (no magic-shift tricks), so (charge, energy)
 assignments are well defined even with exact degeneracies.
 
 Dense matrices are scattered from each operator's compiled X-mask groups
@@ -63,10 +64,6 @@ class SpectrumPoint:
     charges: tuple[float, ...]
     eigenvector: StateVector
 
-    @property
-    def charge(self) -> float:
-        return self.charges[0]
-
 
 @dataclass(frozen=True)
 class SectorTarget:
@@ -75,10 +72,6 @@ class SectorTarget:
     charges: tuple[float, ...]
     index: int
     energy: float
-
-    @property
-    def charge(self) -> float:
-        return self.charges[0]
 
 
 def _levels(sorted_values: np.ndarray, op: PauliSum) -> list[slice]:
@@ -104,7 +97,7 @@ def simultaneous_spectrum_multi(hamiltonian: PauliSum, observables) -> list[Spec
     ``eigh`` returns ascending energies, and the refinement rotates vectors
     only inside an energy cluster, returning each observable's charges in
     ascending order inside each sub-cluster of the observables before it.
-    So the order is (energy cluster, charge tuple, basis index), and it does
+    So the order is (energy cluster, charge tuple, eigh order), and it does
     not hinge on last-bit noise inside a degenerate multiplet.
     """
     _check_size(hamiltonian)
@@ -119,21 +112,18 @@ def simultaneous_spectrum_multi(hamiltonian: PauliSum, observables) -> list[Spec
 
     charges = np.zeros((len(observables), 2**n))
     for k, obs in enumerate(observables):
-        mat = dense_matrix(obs)
+        projected = dense_matrix(obs) @ vectors
         refined = []
         for block in blocks:
             sub = vectors[:, block]
-            if block.stop - block.start == 1:
-                vals = np.array([np.real(np.vdot(sub[:, 0], mat @ sub[:, 0]))])
-            else:
-                restricted = sub.conj().T @ mat @ sub
-                vals, rot = np.linalg.eigh(restricted)
-                vectors[:, block] = sub @ rot
+            vals, rot = np.linalg.eigh(sub.conj().T @ projected[:, block])
+            vectors[:, block] = sub @ rot
             charges[k, block] = vals
             offset = block.start
             for piece in _levels(vals, obs):
                 refined.append(slice(offset + piece.start, offset + piece.stop))
         blocks = refined
+        del projected  # before the next dense matrix: at most three 4^n arrays live
 
     return [
         SpectrumPoint(

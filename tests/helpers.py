@@ -180,6 +180,21 @@ def brute_force_mixture_min(points, objective, steps: int = 10, refine_rounds: i
     return best_val, w
 
 
+def chord_envelope(points, charge: float) -> float:
+    """Lower envelope of a (charge, energy) cloud at ``charge``, by brute force.
+
+    The least energy over every chord between points i, j with
+    c_i <= charge <= c_j (a point is a chord with itself); no hull is built.
+    """
+    best = np.inf
+    for ci, ei in points:
+        for cj, ej in points:
+            if ci <= charge <= cj:
+                w = 0.0 if cj == ci else (charge - ci) / (cj - ci)
+                best = min(best, (1 - w) * ei + w * ej)
+    return best
+
+
 def count_square_builds(monkeypatch) -> list:
     """Record every ``square_shifted`` call made by a ``cvqe`` module.
 

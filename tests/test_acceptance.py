@@ -107,12 +107,12 @@ def _boundary_instances(minimum: int = 20):
         builder, universal_gap = observables[int(rng.integers(0, 3))]
         obs = builder(n)
         points = simultaneous_spectrum(h, obs)
-        charges = sorted({round(p.charge, 6) for p in points})
+        charges = sorted({round(p.charges[0], 6) for p in points})
         c = float(charges[int(rng.integers(0, len(charges)))])
         target = sector_ground_multi(points, (c,))
         if target.index == 0:
             continue
-        plane = [(p.charge, p.energy) for p in points]
+        plane = [(p.charges[0], p.energy) for p in points]
         if classify_target(plane, c, target.energy) is not Classification.BOUNDARY:
             continue
         instances.append((h, obs, universal_gap, points, c, target))
@@ -129,9 +129,10 @@ def test_criterion_2_threshold_theorem():
         assert exact <= simple + 1e-12
         assert simple <= rough + 1e-12
         mu = exact * (1 + 1e-6)
-        value, index = minimize_operator_penalty(points, c, mu)
+        plane = [(p.charges[0], p.energy) for p in points]
+        value, index = minimize_operator_penalty(plane, c, mu)
         assert value == pytest.approx(target.energy, abs=1e-9)
-        assert abs(points[index].charge - c) < 1e-8
+        assert abs(points[index].charges[0] - c) < 1e-8
     report(2, f"threshold theorem verified on {len(instances)} boundary instances")
 
 
@@ -140,7 +141,7 @@ def test_criterion_3_deviation_law():
     toy = [(0.0, -2.0), (1.0, -1.0)]
     cases = [(toy, 1.0, -1.0)]
     points = simultaneous_spectrum(HEISENBERG4, build_total_sz(4))
-    plane = [(p.charge, p.energy) for p in points]
+    plane = [(p.charges[0], p.energy) for p in points]
     for c in (2.0, -2.0):
         target = sector_ground_multi(points, (c,))
         cases.append((plane, c, target.energy))
@@ -166,7 +167,7 @@ def test_criterion_4_interior_target_failure():
     number_op = build_number_operator(3)
     points = simultaneous_spectrum(h, number_op)
     target = sector_ground_multi(points, (1.0,))
-    plane = [(p.charge, p.energy) for p in points]
+    plane = [(p.charges[0], p.energy) for p in points]
     assert classify_target(plane, 1.0, target.energy) is Classification.INTERIOR
     clearance = target.energy - hull_energy_at(lower_hull(plane), 1.0)
     assert clearance > 0

@@ -99,6 +99,19 @@ class TestVqe:
         best = min(float(r["best_cost"]) for r in seeds)
         assert best == pytest.approx(0.25, abs=1e-6)
 
+    def test_explicit_zero_weight_runs_unpenalized(self, tmp_path):
+        out = tmp_path / "vqe.csv"
+        args = [
+            "vqe",
+            "--hamiltonian", "builtin:heisenberg:2",
+            "--constraint", "sz=1:mu=0",
+            "--depth", 1, "--seeds", 2, "--master-seed", 3,
+            "--out", out,
+        ]  # fmt: skip
+        assert run_cli(args) == 0
+        seeds = read_rows(out)[:-1]
+        assert [r["best_cost"] for r in seeds] == [r["energy"] for r in seeds]
+
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(self.common(out_a)) == 0
@@ -347,6 +360,23 @@ class TestEnvelope:
         assert (target["energy"], target["classification"]) == ("1", "boundary")
         assert len([r for r in rows if r["record"] == "tangent"]) == 2
 
+    def test_tangent_rows_place_the_target_at_its_spectrum_charge(self, tmp_path):
+        # The target's point sits at c0 = 1/3, 3.3e-9 from the requested c: the
+        # tangent and the clearance are taken there, with c the parabola centre.
+        h, c = tmp_path / "h.psum", tmp_path / "c.psum"
+        h.write_text("qubits 1\n1.0 Z0\n")
+        c.write_text("qubits 1\n0.3333333333333333 Z0\n")
+        out = tmp_path / "env.csv"
+        args = ["envelope", "--hamiltonian", h, "--constraint", f"{c}=0.33333333"]
+        assert run_cli([*args, "--mu-values", "100", "--out", out]) == 0
+        rows = {r["record"]: r for r in read_rows(out)}
+        assert rows["tangent"]["case"] == "boundary_tangent"
+        for key in ("f_min", "c_t", "e_t"):
+            assert float(rows["tangent"][key]) == pytest.approx(
+                float(rows["f_min"][key]), abs=1e-12
+            )
+        assert abs(float(rows["target"]["clearance"])) <= 1e-15
+
     def test_near_hull_target_is_classified_once(self, tmp_path):
         # The sz=0 sector ground sits 5e-9 above the hull chord of the sz=+-1
         # corners: past the plane tolerance, so interior, and no tangent row.
@@ -436,17 +466,17 @@ class TestPolicyResolution:
         # every lower-lying state differs in at least one observable, so the
         # per-observable maxima keep the combined penalty sufficient
         points = workspace.spectrum_points()
-        e_target, rank = workspace.sector_target()
-        for point in points[:rank]:
+        sector = workspace.sector_target()
+        for point in points[: sector.index]:
             penalized = point.energy + sum(
                 mu * (charge - target) ** 2
                 for mu, charge, target in zip(mus, point.charges, [2.0, -1.0])
             )
-            assert penalized >= e_target - 1e-9
+            assert penalized >= sector.energy - 1e-9
 
     def test_auto_simple_uses_universal_gap(self):
         workspace = self.make_workspace(["sz=1:mu=auto-simple"])
-        e_target, _ = workspace.sector_target()
+        e_target = workspace.sector_target().energy
         e_ground = workspace.spectrum_points()[0].energy
         assert workspace.resolve_coefficient(0) == pytest.approx(
             (e_target - e_ground) / 0.5**2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cvqe import (
     Classification,
@@ -18,9 +20,40 @@ from cvqe import (
 )
 from cvqe.envelope import EnvelopePoint, hull_energy_at
 from cvqe.errors import InvalidProbability, NotBoundary, TargetNotInCloud
-from helpers import brute_force_mixture_min
+from helpers import PROPERTY, brute_force_mixture_min, chord_envelope
 
 TOY = [(0.0, -2.0), (1.0, -1.0)]
+
+
+# Integer-grid clouds: repeated charges, collinear runs and vertical ties are common.
+GRID_CLOUDS = st.lists(st.tuples(st.integers(-3, 3), st.integers(-4, 4)), min_size=1, max_size=12)
+
+
+class TestHullProperties:
+    """Hull geometry against the brute-force chord envelope of ``tests/helpers.py``."""
+
+    @PROPERTY
+    @given(GRID_CLOUDS)
+    def test_hull_is_the_chord_envelope(self, cloud):
+        pts = [(float(c), float(e)) for c, e in cloud]
+        hull = lower_hull(pts)
+        charges = sorted({c for c, _ in pts})
+        assert (hull[0].charge, hull[-1].charge) == (charges[0], charges[-1])
+        assert set(hull) <= {EnvelopePoint(c, e) for c, e in pts}
+        slopes = np.diff([p.energy for p in hull]) / np.diff([p.charge for p in hull])
+        assert np.all(np.diff(slopes) > 0)  # no collinear vertex
+        midpoints = [(a + b) / 2 for a, b in zip(charges, charges[1:])]
+        for c in charges + midpoints:
+            assert hull_energy_at(hull, c) == pytest.approx(chord_envelope(pts, c), abs=1e-12)
+
+    @PROPERTY
+    @given(GRID_CLOUDS)
+    def test_classification_is_the_chord_envelope(self, cloud):
+        pts = [(float(c), float(e)) for c, e in cloud]
+        for c, e in pts:
+            on_envelope = e <= chord_envelope(pts, c) + 1e-12
+            expected = Classification.BOUNDARY if on_envelope else Classification.INTERIOR
+            assert classify_target(pts, c, e) is expected
 
 
 class TestLowerHull:
@@ -69,7 +102,7 @@ class TestClassifyTarget:
     def test_heisenberg_sector_is_boundary(self):
         points = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
         target = sector_ground_multi(points, (1.0,))
-        plane = [(p.charge, p.energy) for p in points]
+        plane = [(p.charges[0], p.energy) for p in points]
         assert classify_target(plane, 1.0, target.energy) is Classification.BOUNDARY
 
     def test_target_not_in_cloud(self):
@@ -186,7 +219,7 @@ class TestTangentClosedForm:
 class TestDeviationLaw:
     def test_deviation_exact_in_tangent_regime(self):
         points = simultaneous_spectrum(build_heisenberg_chain(4), build_total_sz(4))
-        plane = [(p.charge, p.energy) for p in points]
+        plane = [(p.charges[0], p.energy) for p in points]
         target = sector_ground_multi(points, (2.0,))
         for mu in (1.0, 10.0, 100.0, 1000.0):
             result = tangent_closed_form(plane, 2.0, target.energy, mu)
@@ -196,7 +229,7 @@ class TestDeviationLaw:
 
     def test_log_log_slope_is_minus_one(self):
         points = simultaneous_spectrum(build_heisenberg_chain(4), build_total_sz(4))
-        plane = [(p.charge, p.energy) for p in points]
+        plane = [(p.charges[0], p.energy) for p in points]
         target = sector_ground_multi(points, (2.0,))
         mus = np.array([1.0, 10.0, 100.0, 1000.0])
         devs = np.array(

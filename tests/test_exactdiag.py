@@ -36,13 +36,13 @@ class TestDenseMatrix:
 class TestSimultaneousSpectrum:
     def test_heisenberg_two_sites(self):
         points = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
-        got = [(round(p.charge, 9), round(p.energy, 9)) for p in points]
+        got = [(round(p.charges[0], 9), round(p.energy, 9)) for p in points]
         assert got == [(0, -0.75), (-1, 0.25), (0, 0.25), (1, 0.25)]
 
     def test_z_with_itself(self):
         op = PauliSum((PauliTerm(1.0, ((0, "Z"),)),), 1)
         points = simultaneous_spectrum(op, op)
-        got = [(round(p.energy, 12), round(p.charge, 12)) for p in points]
+        got = [(round(p.energy, 12), round(p.charges[0], 12)) for p in points]
         assert got == [(-1, -1), (1, 1)]
 
     def test_residuals_per_point(self):
@@ -55,7 +55,7 @@ class TestSimultaneousSpectrum:
             for p in simultaneous_spectrum(h, c):
                 v = p.eigenvector.amplitudes
                 assert np.linalg.norm(mh @ v - p.energy * v) < 1e-8
-                assert np.linalg.norm(mc @ v - p.charge * v) < 1e-8
+                assert np.linalg.norm(mc @ v - p.charges[0] * v) < 1e-8
 
     def test_reconstruction(self):
         rng = np.random.default_rng(7)
@@ -98,7 +98,7 @@ class TestSimultaneousSpectrum:
         points = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
         energies = [p.energy for p in points]
         assert energies == sorted(energies)
-        triplet = [p.charge for p in points[1:]]
+        triplet = [p.charges[0] for p in points[1:]]
         assert triplet == sorted(triplet)
         # random symmetric H with two observables: energies ascend, and inside
         # each energy cluster (the oracle's own tolerance) so do the charges
@@ -116,12 +116,49 @@ class TestSimultaneousSpectrum:
                     assert a.charges <= b.charges
 
 
+class TestRefinementResiduals:
+    """Every point is a simultaneous eigenpair of the Kronecker oracle's matrices."""
+
+    @staticmethod
+    def check(h, observables):
+        points = simultaneous_spectrum_multi(h, observables)
+        vectors = np.array([p.eigenvector.amplitudes for p in points]).T
+        assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(len(points)))) <= 1e-10
+        mats = [dense_oracle(op) for op in (h, *observables)]
+        for p, v in zip(points, vectors.T):
+            for mat, value in zip(mats, (p.energy, *p.charges)):
+                assert np.linalg.norm(mat @ v - value * v) <= 1e-8
+
+    def test_random_symmetric_two_observables(self):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            n = int(rng.integers(2, 6))
+            menu = observable_menu(n)
+            picks = rng.choice(len(menu), size=2, replace=False)
+            h = random_symmetric_hamiltonian(rng, n)
+            # without its field (the one-qubit terms) every S^2 multiplet is degenerate
+            fieldless = PauliSum(tuple(t for t in h.terms if len(t.axes) != 1), n)
+            for hamiltonian in (h, fieldless):
+                self.check(hamiltonian, [menu[i][1] for i in picks])
+
+    def test_second_observable_sees_only_singletons(self):
+        h, sz = build_heisenberg_chain(6), build_total_sz(6)
+        # Sz splits every degenerate energy level of the chain into singletons,
+        # so S^2 refines 64 one-vector clusters.
+        points = simultaneous_spectrum(h, sz)
+        pairs = [(p.energy, p.charges[0]) for p in points]
+        assert all(
+            b[0] - a[0] > 1e-8 or b[1] - a[1] > 1e-8 for a, b in zip(pairs, pairs[1:])
+        )
+        self.check(h, [sz, build_s_squared(6)])
+
+
 class TestSectorGround:
     def test_heisenberg_sector(self):
         points = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
         target = sector_ground_multi(points, (1.0,))
         assert target.energy == pytest.approx(0.25)
-        assert all(abs(p.charge - 1.0) > 1e-8 for p in points[: target.index])
+        assert all(abs(p.charges[0] - 1.0) > 1e-8 for p in points[: target.index])
 
     def test_empty_sector(self):
         points = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))

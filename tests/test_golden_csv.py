@@ -73,6 +73,11 @@ CASES = {
          "--mu-values", "1,10,100", "--noise-p", "0.05"],
         None,
     ),
+    "spectrum_two_constraints": (
+        ["spectrum", "--hamiltonian", "builtin:heisenberg:6",
+         "--constraint", "sz=0", "--constraint", "s2=0"],
+        None,
+    ),
 }  # fmt: skip
 
 

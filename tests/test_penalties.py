@@ -115,7 +115,7 @@ class TestOrderingChain:
             h = random_symmetric_hamiltonian(rng, n)
             name, obs, universal_gap = observable_menu(n)[int(rng.integers(0, 3))]
             points = simultaneous_spectrum(h, obs)
-            charges = sorted({round(p.charge, 6) for p in points})
+            charges = sorted({round(p.charges[0], 6) for p in points})
             c = float(charges[int(rng.integers(0, len(charges)))])
             target = sector_ground_multi(points, (c,))
             if target.index == 0:
@@ -137,7 +137,7 @@ class TestThresholdTightness:
             h = random_symmetric_hamiltonian(rng, n)
             obs = build_total_sz(n)
             points = simultaneous_spectrum(h, obs)
-            charges = sorted({round(p.charge, 6) for p in points})
+            charges = sorted({round(p.charges[0], 6) for p in points})
             c = float(charges[int(rng.integers(0, len(charges)))])
             target = sector_ground_multi(points, (c,))
             if target.index == 0:
@@ -148,9 +148,11 @@ class TestThresholdTightness:
     def test_slightly_above_threshold_attains_target(self):
         for points, c, target in self._instances():
             mu = exact_coefficient(points, target) * (1 + 1e-6)
-            value, index = minimize_operator_penalty(points, c, mu)
+            value, index = minimize_operator_penalty(
+                [(p.charges[0], p.energy) for p in points], c, mu
+            )
             assert value == pytest.approx(target.energy, abs=1e-9)
-            assert abs(points[index].charge - c) < 1e-8
+            assert abs(points[index].charges[0] - c) < 1e-8
 
     def test_below_threshold_escapes_sector(self):
         for points, c, target in self._instances():
@@ -158,15 +160,17 @@ class TestThresholdTightness:
             # shrinking below the threshold must strictly beat the target
             # whenever the defining max is achieved strictly
             mu = exact * 0.9
-            value, index = minimize_operator_penalty(points, c, mu)
+            value, index = minimize_operator_penalty(
+                [(p.charges[0], p.energy) for p in points], c, mu
+            )
             competitor_values = [
-                p.energy + mu * (p.charge - c) ** 2
+                p.energy + mu * (p.charges[0] - c) ** 2
                 for p in points[: target.index]
-                if abs(p.charge - c) > 1e-8
+                if abs(p.charges[0] - c) > 1e-8
             ]
             if min(competitor_values) < target.energy - 1e-12:
                 assert value < target.energy - 1e-12
-                assert abs(points[index].charge - c) > 1e-8
+                assert abs(points[index].charges[0] - c) > 1e-8
 
 
 class TestMultiConstraint:
