@@ -1,10 +1,11 @@
 """Command-line experiment harness.
 
 Subcommands: ``spectrum``, ``vqe``, ``vqd``, ``scan-mu``, ``envelope``.
-Experiments are described by a JSON config file and/or CLI flags (flags
-win), and results are emitted as RFC-4180 CSV with a mandatory header row
-and floats at 17 significant digits, so runs are reproducible byte for
-byte given the master seed.
+Experiments are described by a JSON config file and/or CLI flags, one
+namespace: each flag sets the config key of its own name (flags win).  Each
+command returns a header and rows, which are emitted as RFC-4180 CSV with
+floats at 17 significant digits, so runs are reproducible byte for byte
+given the master seed.
 
 Exit codes: 0 = ran (science outcomes live in the data; optimization
 non-convergence is never a process error), 1 = configuration or I/O
@@ -15,11 +16,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 import types
 import typing
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,18 +40,7 @@ from .envelope import (
     noisy_tangent_first_order,
     tangent_closed_form,
 )
-from .errors import (
-    EmptySector,
-    InconsistentTarget,
-    InvalidEstimate,
-    NonFiniteCost,
-    NotBoundary,
-    NotCommuting,
-    OracleTooLarge,
-    ParseError,
-    SingleEigenvalue,
-    TargetNotInCloud,
-)
+from .errors import InvalidEstimate, OracleError, ParseError
 from .exactdiag import (
     SectorTarget,
     in_sector,
@@ -70,17 +62,6 @@ from .simulator import AnsatzConfig, NoiseModel, expectation, overlap_sq
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_ORACLE = 2
-
-_ORACLE_ERRORS = (
-    NotCommuting,
-    OracleTooLarge,
-    EmptySector,
-    SingleEigenvalue,
-    InconsistentTarget,
-    NotBoundary,
-    TargetNotInCloud,
-    NonFiniteCost,
-)
 
 _MU_POLICIES = ("auto-exact", "auto-simple", "auto-rough", "auto-ce")
 
@@ -139,8 +120,11 @@ def _number(text: str, name: str) -> float:
     return value
 
 
-def _numbers(text: str, name: str) -> list[float]:
-    return [_number(v, name) for v in text.split(",") if v.strip()]
+def _numbers(value, name: str) -> list[float]:
+    """A comma list read by ``_number``, or a config key's list, type-checked on load."""
+    if isinstance(value, str):
+        return [_number(v, name) for v in value.split(",") if v.strip()]
+    return [float(v) for v in value]
 
 
 def _parse_constraint(text: str) -> ConstraintRequest:
@@ -171,7 +155,8 @@ def _parse_constraint(text: str) -> ConstraintRequest:
     return ConstraintRequest(source, target, "value", value=value)
 
 
-def _constraint_from_json(entry) -> ConstraintRequest:
+def _constraint_request(entry) -> ConstraintRequest:
+    """A ``--constraint`` text or a config ``constraints`` entry (text or object)."""
     if isinstance(entry, str):
         return _parse_constraint(entry)
     if not (isinstance(entry, dict) and "observable" in entry and "c" in entry):
@@ -218,7 +203,8 @@ def _json_matches(value, hint) -> bool:
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
-    config = ExperimentConfig()
+    """The config file's keys with every given flag (its dest is the field) laid over them."""
+    raw = {}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as handle:
@@ -234,38 +220,19 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             if not _json_matches(value, hints[key]):
                 expected = ExperimentConfig.__annotations__[key]
                 raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
-            if key == "constraints":
-                value = [_constraint_from_json(entry) for entry in value]
-            if key == "ce_estimates" and value is not None:
-                value = (float(value[0]), float(value[1]))
-            if key == "mu_values":
-                value = [float(v) for v in value]
-            setattr(config, key, value)
-    overrides = {
-        "hamiltonian": args.hamiltonian,
-        "form": args.form,
-        "depth": args.depth,
-        "optimizer": args.optimizer,
-        "seeds": args.seeds,
-        "master_seed": args.master_seed,
-        "noise_p": args.noise_p,
-        "out": args.out,
-        "levels": getattr(args, "levels", None),
-        "beta": getattr(args, "beta", None),
-        "reference_state": args.reference_state,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(config, key, value)
-    if args.constraint:
-        config.constraints = [_parse_constraint(text) for text in args.constraint]
-    if args.mu_values is not None:
-        config.mu_values = _numbers(args.mu_values, "each --mu-values entry")
-    if args.ce_estimates is not None:
-        estimates = _numbers(args.ce_estimates, "each --ce-estimates entry")
+    skip = ("config", "command")
+    flags = {k: v for k, v in vars(args).items() if v is not None and k not in skip}
+    config = ExperimentConfig(**{**raw, **flags})
+    config.constraints = [_constraint_request(entry) for entry in config.constraints]
+    config.mu_values = _numbers(config.mu_values, "each --mu-values entry")
+    if config.ce_estimates is not None:
+        estimates = _numbers(config.ce_estimates, "each --ce-estimates entry")
         if len(estimates) != 2:
-            raise ConfigError(f"--ce-estimates needs E_target,E_ground, got {args.ce_estimates!r}")
+            raise ConfigError(f"--ce-estimates needs E_target,E_ground, got {estimates}")
         config.ce_estimates = tuple(estimates)
+    for mu in config.mu_values:
+        if mu < 0:
+            raise ConfigError(f"--mu-values (config key 'mu_values') must be >= 0, got {mu}")
     for key, name, low in (
         ("seeds", "--seeds", 1),
         ("depth", "--depth", 0),
@@ -343,25 +310,18 @@ class Workspace:
             self.observable_names.append(name)
             self.observables.append(op)
             self.targets.append(request.target)
-        self._points = None
-        self._target: SectorTarget | None = None
         self._gaps: dict[int, float] = {}
         self._constraints: tuple[PenaltyConstraint, ...] | None = None
 
-    @property
-    def qubit_count(self) -> int:
-        return self.hamiltonian.qubit_count
+    @functools.cached_property
+    def points(self):
+        """The oracle's spectrum, computed when a command first reads it."""
+        return simultaneous_spectrum_multi(self.hamiltonian, self.observables)
 
-    def spectrum_points(self):
-        if self._points is None:
-            self._points = simultaneous_spectrum_multi(self.hamiltonian, self.observables)
-        return self._points
-
-    def sector_target(self) -> SectorTarget:
+    @functools.cached_property
+    def target(self) -> SectorTarget:
         """Ground of the target sector; with no constraints, the global ground."""
-        if self._target is None:
-            self._target = sector_ground_multi(self.spectrum_points(), self.targets)
-        return self._target
+        return sector_ground_multi(self.points, self.targets)
 
     def min_gap(self, index: int) -> float:
         """Universal per-family gap for builtins, computed gap otherwise."""
@@ -389,11 +349,10 @@ class Workspace:
             except InvalidEstimate as exc:
                 raise ConfigError(str(exc)) from exc
         if request.policy == "auto-simple":
-            e_ground = self.spectrum_points()[0].energy
-            return simple_coefficient(self.sector_target().energy, e_ground, self.min_gap(index))
+            e_ground = self.points[0].energy
+            return simple_coefficient(self.target.energy, e_ground, self.min_gap(index))
         if request.policy == "auto-exact":
-            target = self.sector_target()
-            return exact_coefficient(self.spectrum_points(), target, constraint=index)
+            return exact_coefficient(self.points, self.target, constraint=index)
         raise ConfigError(f"unknown mu policy {request.policy!r}")
 
     def penalty_constraints(self, coefficient_override: float | None = None):
@@ -427,7 +386,7 @@ class Workspace:
 
     def ansatz(self) -> AnsatzConfig:
         return AnsatzConfig(
-            qubit_count=self.qubit_count,
+            qubit_count=self.hamiltonian.qubit_count,
             depth=self.config.depth,
             reference_state=self.config.reference_state,
         )
@@ -464,17 +423,14 @@ def _format(value) -> str:
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list]):
-    def emit(handle):
+    if path is None:
+        target = nullcontext(sys.stdout)
+    else:
+        target = open(path, "w", newline="", encoding="utf-8")
+    with target as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format(cell) for cell in row])
-
-    if path is None:
-        emit(sys.stdout)
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            emit(handle)
+        writer.writerows([_format(cell) for cell in row] for row in rows)
 
 
 def _sector_miss(workspace: Workspace, record) -> bool:
@@ -484,22 +440,20 @@ def _sector_miss(workspace: Workspace, record) -> bool:
     )
 
 
-def cmd_spectrum(config: ExperimentConfig) -> int:
+def cmd_spectrum(config: ExperimentConfig) -> tuple[list, list]:
     workspace = Workspace(config)
-    points = workspace.spectrum_points()
-    ground_rank = workspace.sector_target().index
+    ground_rank = workspace.target.index
     header = ["index", "energy"]
     header += [f"charge_{name}" for name in workspace.observable_names]
     if workspace.observables:
         header += ["in_target_sector", "is_sector_ground"]
     rows = []
-    for rank, point in enumerate(points):
+    for rank, point in enumerate(workspace.points):
         row = [rank, point.energy, *point.charges]
         if workspace.observables:
             row += [in_sector(point.charges, workspace.targets), rank == ground_rank]
         rows.append(row)
-    _write_csv(config.out, header, rows)
-    return EXIT_OK
+    return header, rows
 
 
 def _trial_rows(workspace: Workspace, records, e_reference: float):
@@ -544,16 +498,15 @@ _TRIAL_HEADER_PREFIX = [
 ]
 
 
-def cmd_vqe(config: ExperimentConfig) -> int:
+def cmd_vqe(config: ExperimentConfig) -> tuple[list, list]:
     workspace = Workspace(config)
-    e_reference = workspace.sector_target().energy
+    ansatz = workspace.ansatz()
+    e_reference = workspace.target.energy
     spec = workspace.cost_spec(workspace.penalty_constraints())
-    records, _ = run_trials(
-        spec, workspace.ansatz(), workspace.optimizer_config(), config.seeds
-    )
+    records, _ = run_trials(spec, ansatz, workspace.optimizer_config(), config.seeds)
     if config.retry_on_miss:
         records = [
-            _retry_with_doubling(workspace, spec, record, seed)
+            _retry_with_doubling(workspace, spec, ansatz, record, seed)
             for seed, record in enumerate(records)
         ]
     header = list(_TRIAL_HEADER_PREFIX)
@@ -561,13 +514,12 @@ def cmd_vqe(config: ExperimentConfig) -> int:
     header += ["sector_miss"]
     rows = _trial_rows(workspace, records, e_reference)
     rows.append(_mean_row(rows))
-    _write_csv(config.out, header, rows)
-    return EXIT_OK
+    return header, rows
 
 
-def _retry_with_doubling(workspace: Workspace, spec, record, seed):
+def _retry_with_doubling(workspace: Workspace, spec, ansatz, record, seed):
     """Re-run a sector-missed seed, from its own start point, with doubled penalty weights."""
-    ansatz, config = workspace.ansatz(), workspace.optimizer_config()
+    config = workspace.optimizer_config()
     x0 = initial_params(config.seed, ansatz, workspace.config.seeds)[seed]
     current = record
     scale = 2.0
@@ -580,13 +532,14 @@ def _retry_with_doubling(workspace: Workspace, spec, record, seed):
     return current
 
 
-def cmd_scan_mu(config: ExperimentConfig) -> int:
+def cmd_scan_mu(config: ExperimentConfig) -> tuple[list, list]:
     if not config.constraints:
         raise ConfigError("scan-mu needs at least one --constraint")
     if not config.mu_values:
         raise ConfigError("scan-mu needs a non-empty mu list")
     workspace = Workspace(config)
-    e_reference = workspace.sector_target().energy
+    ansatz = workspace.ansatz()
+    e_reference = workspace.target.energy
     header = [
         "mu",
         "form",
@@ -604,7 +557,7 @@ def cmd_scan_mu(config: ExperimentConfig) -> int:
         for form in _FORMS:
             spec = workspace.cost_spec(constraints, form=form)
             records, summary = run_trials(
-                spec, workspace.ansatz(), workspace.optimizer_config(), config.seeds
+                spec, ansatz, workspace.optimizer_config(), config.seeds
             )
             energies = [expectation(workspace.hamiltonian, r.state) for r in records]
             residuals = [record.constraint_residual for record in records]
@@ -621,8 +574,7 @@ def cmd_scan_mu(config: ExperimentConfig) -> int:
                     float(np.mean(residuals)),
                 ]
             )
-    _write_csv(config.out, header, rows)
-    return EXIT_OK
+    return header, rows
 
 
 def _resolve_betas(workspace: Workspace, count: int) -> list[float]:
@@ -640,25 +592,22 @@ def _resolve_betas(workspace: Workspace, count: int) -> list[float]:
             raise ConfigError(str(exc)) from exc
         return [beta] * count
     values = _numbers(text, "each --beta entry")
-    if not values:
-        raise ConfigError(f"bad beta specification {text!r}")
-    if len(values) == 1:
-        return values * count
-    if len(values) < count:
-        values = values + [values[-1]] * (count - len(values))
-    return values[:count]
+    if not values or min(values) <= 0:
+        raise ConfigError(f"--beta needs one or more weights > 0, got {text!r}")
+    # the last weight repeats for the levels past the list's end
+    return (values + [values[-1]] * count)[:count]
 
 
-def cmd_vqd(config: ExperimentConfig) -> int:
+def cmd_vqd(config: ExperimentConfig) -> tuple[list, list]:
     if config.levels < 1:
         raise ConfigError("vqd needs --levels >= 1")
     workspace = Workspace(config)
+    ansatz = workspace.ansatz()
     betas = _resolve_betas(workspace, config.levels)
-    points = workspace.spectrum_points()
     constraints = workspace.penalty_constraints()
     # Ideal ladder: eigenstates ordered by their penalized energies.
     penalized = sorted(
-        points,
+        workspace.points,
         key=lambda p: p.energy
         + sum(
             c.coefficient * (charge - c.target) ** 2
@@ -673,9 +622,7 @@ def cmd_vqd(config: ExperimentConfig) -> int:
     for level in range(config.levels + 1):
         deflation = tuple((state, betas[i]) for i, state in enumerate(found_states))
         spec = workspace.cost_spec(constraints, deflation=deflation)
-        records, summary = run_trials(
-            spec, workspace.ansatz(), workspace.optimizer_config(), config.seeds
-        )
+        records, summary = run_trials(spec, ansatz, workspace.optimizer_config(), config.seeds)
         e_reference = penalized[level].energy if level < len(penalized) else float("nan")
         trial_rows = _trial_rows(workspace, records, e_reference)
         for seed, (record, row) in enumerate(zip(records, trial_rows)):
@@ -684,19 +631,21 @@ def cmd_vqd(config: ExperimentConfig) -> int:
             )
             rows.append([level, *row[1:], max_overlap, seed])
         found_states.append(records[summary.best_index].state)
-    _write_csv(config.out, header, rows)
-    return EXIT_OK
+    return header, rows
 
 
-def cmd_envelope(config: ExperimentConfig) -> int:
+def cmd_envelope(config: ExperimentConfig) -> tuple[list, list]:
     if not config.constraints:
         raise ConfigError("envelope needs a constraint to define the charge axis")
+    for mu in config.mu_values:
+        if mu <= 0:
+            raise ConfigError(f"envelope needs --mu-values (config key 'mu_values') > 0, got {mu}")
     workspace = Workspace(config)
-    points = workspace.spectrum_points()
+    points = workspace.points
     # The first constraint defines the (charge, energy) plane.
     plane = [(p.charges[0], p.energy) for p in points]
     target_charge = workspace.targets[0]
-    target = workspace.sector_target()
+    target = workspace.target
     e_target = target.energy
     classification = classify_target(plane, target_charge, e_target)
     hull = lower_hull(plane)
@@ -771,8 +720,7 @@ def cmd_envelope(config: ExperimentConfig) -> int:
                 cells["e_t_first_order"] = tangent.e_t + de
                 cells["f_min_first_order"] = tangent.f_min + df
             rows.append(make_row("tangent", **cells))
-    _write_csv(config.out, header, rows)
-    return EXIT_OK
+    return header, rows
 
 
 _COMMANDS = {
@@ -785,12 +733,10 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage errors follow the exit-code contract."""
+    """ArgumentParser whose usage errors are one ``error:`` line and exit 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(EXIT_CONFIG)
+        self.exit(EXIT_CONFIG, f"error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -802,6 +748,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--hamiltonian", help="operator file path or builtin:<name>:<n>")
         sub.add_argument(
             "--constraint",
+            dest="constraints",
+            metavar="CONSTRAINT",
             action="append",
             help="<name|path>=<c>[:mu=<policy|value>], repeatable",
         )
@@ -809,12 +757,12 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--depth", type=int)
         sub.add_argument("--optimizer", choices=tuple(_OPTIMIZERS))
         sub.add_argument("--seeds", type=int)
-        sub.add_argument("--master-seed", type=int, dest="master_seed")
-        sub.add_argument("--noise-p", type=float, dest="noise_p")
+        sub.add_argument("--master-seed", type=int)
+        sub.add_argument("--noise-p", type=float)
         sub.add_argument("--out", help="CSV output path (default: stdout)")
-        sub.add_argument("--mu-values", dest="mu_values", help="comma-separated list")
-        sub.add_argument("--ce-estimates", dest="ce_estimates", help="E_target,E_ground")
-        sub.add_argument("--reference-state", dest="reference_state")
+        sub.add_argument("--mu-values", help="comma-separated list")
+        sub.add_argument("--ce-estimates", help="E_target,E_ground")
+        sub.add_argument("--reference-state")
         if name == "vqd":
             sub.add_argument("--levels", type=int)
             sub.add_argument("--beta", help="auto-rough | auto-ce | comma list")
@@ -822,17 +770,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = load_config(args)
-        return _COMMANDS[args.command](config)
-    except _ORACLE_ERRORS as exc:
+        header, rows = _COMMANDS[args.command](config)
+        _write_csv(config.out, header, rows)
+    except OracleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE
     except (OSError, ValueError) as exc:  # ConfigError and library input checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,9 +1,14 @@
 """Exception types shared across the toolkit.
 
 The CLI maps these onto its exit-code contract: configuration and input
-problems exit 1, oracle/precondition violations exit 2.  Optimization
-non-convergence is never an exception (it is reported as data).
+problems exit 1, and :class:`OracleError` owns exit 2: every oracle or
+precondition violation derives from it, next to its standard base.
+Optimization non-convergence is never an exception (it is reported as data).
 """
+
+
+class OracleError(Exception):
+    """An oracle or precondition violation; the CLI exits 2 on any subclass."""
 
 
 class ParseError(ValueError):
@@ -28,19 +33,19 @@ class HermiticityError(ValueError):
     """An operator expected to be Hermitian has a residual imaginary part."""
 
 
-class NotCommuting(ValueError):
+class NotCommuting(OracleError, ValueError):
     """The Hamiltonian and a supposed conserved quantity do not commute."""
 
 
-class OracleTooLarge(ValueError):
+class OracleTooLarge(OracleError, ValueError):
     """Dense diagonalization was requested above the configured qubit cap."""
 
 
-class EmptySector(LookupError):
+class EmptySector(OracleError, LookupError):
     """No eigenstate carries the requested conserved-quantity eigenvalue."""
 
 
-class SingleEigenvalue(ValueError):
+class SingleEigenvalue(OracleError, ValueError):
     """A distinct-eigenvalue gap is undefined (observable proportional to I)."""
 
 
@@ -48,7 +53,7 @@ class InvalidEstimate(ValueError):
     """Energy estimates are inconsistent (target below ground, or bad gap)."""
 
 
-class InconsistentTarget(ValueError):
+class InconsistentTarget(OracleError, ValueError):
     """A state below the target index already carries the target eigenvalue."""
 
 
@@ -56,11 +61,11 @@ class PenaltyFormError(ValueError):
     """A cost evaluator was invoked on a spec with the other penalty form."""
 
 
-class TargetNotInCloud(LookupError):
+class TargetNotInCloud(OracleError, LookupError):
     """The requested (charge, energy) pair is not a spectrum point."""
 
 
-class NotBoundary(ValueError):
+class NotBoundary(OracleError, ValueError):
     """Tangent analysis requires the target to lie on the lower envelope."""
 
 
@@ -68,5 +73,5 @@ class InvalidProbability(ValueError):
     """Depolarizing probability outside [0, 1)."""
 
 
-class NonFiniteCost(ArithmeticError):
+class NonFiniteCost(OracleError, ArithmeticError):
     """The cost function evaluated to NaN or infinity."""

@@ -49,6 +49,8 @@ _SIMPLEX_STEP = 0.25
 _SLOPE_FLOOR = 2.0 * np.finfo(float).eps
 # Seeds whose best costs differ by less than this (relative) are tied.
 _TIE_TOL = 1e-12
+# Step of the central-difference gradient rule.
+_FD_STEP = 1e-6
 
 # The rules CostEvaluator.gradient knows; the cli checks config spellings here.
 GRADIENT_RULES = ("parameter_shift", "central_difference")
@@ -58,7 +60,6 @@ GRADIENT_RULES = ("parameter_shift", "central_difference")
 class OptimizerConfig:
     method: str = "quasi_newton"  # "quasi_newton" | "simplex"
     gradient: str = "parameter_shift"  # one of GRADIENT_RULES
-    fd_step: float = 1e-6
     grad_tol: float = 1e-8
     max_iterations: int = 10_000
     seed: int = 0
@@ -68,8 +69,8 @@ class OptimizerConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.gradient not in GRADIENT_RULES:
             raise ValueError(f"unknown gradient kind {self.gradient!r}")
-        if not all(math.isfinite(x) and x > 0 for x in (self.grad_tol, self.fd_step)):
-            raise ValueError("tolerances must be positive and finite")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError("grad_tol must be positive and finite")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
 
@@ -121,7 +122,7 @@ class CostEvaluator:
             raise NonFiniteCost(f"cost evaluated to {breakdown.total}")
         return breakdown
 
-    def gradient(self, params, kind: str = "parameter_shift", fd_step: float = 1e-6):
+    def gradient(self, params, kind: str = "parameter_shift"):
         params = np.asarray(params, dtype=float)
         if params.shape != (self.ansatz.parameter_count,):
             raise ParamCountMismatch(
@@ -132,8 +133,8 @@ class CostEvaluator:
         self.n_grad_evals += 1
         grad = np.empty_like(params)
         if kind == "central_difference":
-            for k, plus, minus in _shifted(params, fd_step, self._measure):
-                grad[k] = (plus.total - minus.total) / (2 * fd_step)
+            for k, plus, minus in _shifted(params, _FD_STEP, self._measure):
+                grad[k] = (plus.total - minus.total) / (2 * _FD_STEP)
             return grad
         if self.spec.form is PenaltyForm.OPERATOR:
             # The whole cost (deflation projectors included) is a single
@@ -203,7 +204,7 @@ def _wolfe_search(evaluator, config, x, direction, f0, df0):
         return evaluator.value(x + step * direction)
 
     def grad(step):
-        return evaluator.gradient(x + step * direction, config.gradient, config.fd_step)
+        return evaluator.gradient(x + step * direction, config.gradient)
 
     step_prev, f_prev = 0.0, f0
     step = 1.0
@@ -248,7 +249,7 @@ def _minimize_bfgs(evaluator, config, x0):
     dim = x.size
     f = evaluator.value(x)
     trace = [f]
-    g = evaluator.gradient(x, config.gradient, config.fd_step)
+    g = evaluator.gradient(x, config.gradient)
     hess_inv = np.eye(dim)
     first_update = True
 

@@ -81,6 +81,8 @@ class AnsatzConfig:
             raise ValueError("depth must be >= 0")
         if self.qubit_count < 1:
             raise ValueError("qubit_count must be positive")
+        if self.reference_state is not None:
+            basis_state(self.reference_state, self.qubit_count)  # checks the bitstring
 
     @property
     def parameter_count(self) -> int:

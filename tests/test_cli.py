@@ -1,11 +1,13 @@
+import argparse
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from cvqe import build_heisenberg_chain, diagonal_hamiltonian, serialize_pauli_sum
-from cvqe.cli import main
+from cvqe import build_heisenberg_chain, diagonal_hamiltonian, errors, serialize_pauli_sum
+from cvqe.cli import ConstraintRequest, ExperimentConfig, build_parser, load_config, main
 from helpers import count_square_builds
 
 # Diagonal 3-qubit instance whose number-sector c=1 ground (energy 0) is
@@ -465,8 +467,8 @@ class TestPolicyResolution:
         mus = [workspace.resolve_coefficient(0), workspace.resolve_coefficient(1)]
         # every lower-lying state differs in at least one observable, so the
         # per-observable maxima keep the combined penalty sufficient
-        points = workspace.spectrum_points()
-        sector = workspace.sector_target()
+        points = workspace.points
+        sector = workspace.target
         for point in points[: sector.index]:
             penalized = point.energy + sum(
                 mu * (charge - target) ** 2
@@ -476,8 +478,8 @@ class TestPolicyResolution:
 
     def test_auto_simple_uses_universal_gap(self):
         workspace = self.make_workspace(["sz=1:mu=auto-simple"])
-        e_target = workspace.sector_target().energy
-        e_ground = workspace.spectrum_points()[0].energy
+        e_target = workspace.target.energy
+        e_ground = workspace.points[0].energy
         assert workspace.resolve_coefficient(0) == pytest.approx(
             (e_target - e_ground) / 0.5**2
         )
@@ -536,7 +538,9 @@ class TestArgumentErrors:
          "zero_max_iterations_in_config", "unknown_optimizer_in_config",
          "unknown_gradient_in_config", "negative_grad_tol_in_config",
          "negative_retry_on_miss_in_config", "oracle_limit_in_config", "match_tol_in_config",
-         "sixty_three_qubits"],
+         "sixty_three_qubits", "string_depth", "unknown_flag", "missing_subcommand",
+         "negative_mu_values_scan", "negative_mu_values_envelope", "zero_mu_values_envelope",
+         "negative_beta", "zero_beta"],
     )  # fmt: skip
     def test_bad_input_is_one_error_line(self, name, tmp_path, capsys):
         def config(stem, **fields):
@@ -606,10 +610,105 @@ class TestArgumentErrors:
             ),
             # int64 masks hold 62 qubits
             "sixty_three_qubits": (["spectrum", "--hamiltonian", wide_file], "line 1"),
+            # argparse's own errors print no usage block
+            "string_depth": ([*vqe, "--depth", "x"], "--depth"),
+            "unknown_flag": ([*vqe, "--nonsense"], "--nonsense"),
+            "missing_subcommand": ([], "command"),
+            # weights name their flag, not the library check behind it
+            "negative_mu_values_scan": (
+                ["scan-mu", *vqe[1:], "--constraint", "sz=1", "--mu-values", -1], "--mu-values",
+            ),
+            "negative_mu_values_envelope": (
+                ["envelope", *vqe[1:], "--constraint", "sz=1", "--mu-values", -1], "--mu-values",
+            ),
+            "zero_mu_values_envelope": (
+                ["envelope", *vqe[1:], "--constraint", "sz=1", "--mu-values", 0], "--mu-values",
+            ),
+            "negative_beta": (["vqd", *vqe[1:], "--beta", -1], "--beta"),
+            "zero_beta": (["vqd", *vqe[1:], "--beta", 0], "--beta"),
         }[name]
-        code = run_cli(argv)  # an escaping exception fails the test with its traceback
+        try:
+            code = run_cli(argv)  # an escaping exception fails the test with its traceback
+        except SystemExit as usage_error:
+            code = usage_error.code
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert flag_or_key in err, err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["vqe", "vqd", "scan-mu"])
+    def test_bad_reference_state_fails_before_the_oracle(self, command, monkeypatch, capsys):
+        def oracle(*args):
+            raise AssertionError("the oracle ran before the reference state was checked")
+
+        monkeypatch.setattr("cvqe.cli.simultaneous_spectrum_multi", oracle)
+        argv = [command, "--hamiltonian", "builtin:heisenberg:2", "--constraint", "sz=0",
+                "--reference-state", "012"]  # fmt: skip
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "reference" in err, err
+
+
+# config key -> (its flag, a JSON value, a flag text, the field's value once the flag wins)
+FLAG_WINS = {
+    "hamiltonian": ("--hamiltonian", "builtin:heisenberg:2", "builtin:tfi:2", "builtin:tfi:2"),
+    "constraints": (
+        "--constraint", ["sz=0"], "sz=1", [ConstraintRequest("sz", 1.0, "auto-simple")],
+    ),
+    "form": ("--form", "f2", "f1", "f1"),
+    "depth": ("--depth", 1, "3", 3),
+    "optimizer": ("--optimizer", "simplex", "qn", "qn"),
+    "seeds": ("--seeds", 5, "2", 2),
+    "master_seed": ("--master-seed", 4, "9", 9),
+    "noise_p": ("--noise-p", 0.1, "0.2", 0.2),
+    "out": ("--out", "a.csv", "b.csv", "b.csv"),
+    "mu_values": ("--mu-values", [1.0], "2,3", [2.0, 3.0]),
+    "ce_estimates": ("--ce-estimates", [1.0, 0.0], "2,1", (2.0, 1.0)),
+    "reference_state": ("--reference-state", "00", "11", "11"),
+    "levels": ("--levels", 1, "2", 2),
+    "beta": ("--beta", "auto-ce", "3.0", "3.0"),
+}
+
+
+class TestNamespace:
+    def test_every_flag_sets_the_config_field_it_names(self):
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = {
+            action.dest
+            for sub in commands.choices.values()
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+        } - {"config"}
+        assert dests <= {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert dests == set(FLAG_WINS)
+
+    @pytest.mark.parametrize("key", sorted(FLAG_WINS))
+    def test_flag_wins_over_its_config_key(self, key, tmp_path):
+        flag, json_value, text, expected = FLAG_WINS[key]
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"hamiltonian": "builtin:heisenberg:2", key: json_value}))
+
+        def field(*flags):
+            args = build_parser().parse_args(["vqd", "--config", str(path), *flags])
+            return getattr(load_config(args), key)
+
+        assert field() != expected
+        assert field(flag, text) == expected
+
+    def test_oracle_errors_own_exit_2(self):
+        # each keeps its standard base beside OracleError
+        bases = {
+            "NotCommuting": ValueError,
+            "OracleTooLarge": ValueError,
+            "EmptySector": LookupError,
+            "SingleEigenvalue": ValueError,
+            "InconsistentTarget": ValueError,
+            "NotBoundary": ValueError,
+            "TargetNotInCloud": LookupError,
+            "NonFiniteCost": ArithmeticError,
+        }
+        assert {cls.__name__ for cls in errors.OracleError.__subclasses__()} == set(bases)
+        for name, base in bases.items():
+            assert issubclass(getattr(errors, name), base)

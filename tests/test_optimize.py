@@ -34,7 +34,7 @@ def sector_spec(mu=4.0, form=PenaltyForm.OPERATOR, noise=None):
 
 
 class TestOptimizerConfig:
-    @pytest.mark.parametrize("name", ["grad_tol", "fd_step"])
+    @pytest.mark.parametrize("name", ["grad_tol"])
     @pytest.mark.parametrize("value", [0.0, -1e-6, float("nan")])
     def test_tolerances_must_be_positive(self, name, value):
         with pytest.raises(ValueError):
@@ -48,7 +48,7 @@ class TestGradient:
         params = np.zeros(2)
         evaluator = CostEvaluator(spec, ansatz)
         shift = evaluator.gradient(params)
-        fd = evaluator.gradient(params, kind="central_difference", fd_step=1e-5)
+        fd = evaluator.gradient(params, kind="central_difference")
         assert np.max(np.abs(shift - fd)) < 1e-6
 
     def test_constant_cost_zero_gradient(self):
@@ -76,7 +76,7 @@ class TestGradient:
             for _ in range(50):
                 params = rng.uniform(0, 2 * np.pi, ansatz.parameter_count)
                 shift = evaluator.gradient(params)
-                fd = evaluator.gradient(params, kind="central_difference", fd_step=1e-6)
+                fd = evaluator.gradient(params, kind="central_difference")
                 assert np.max(np.abs(shift - fd)) < 1e-5
 
     def test_param_count_checked(self):

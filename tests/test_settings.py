@@ -1,9 +1,10 @@
-"""Tolerances and the oracle cap are module constants, not caller settings.
+"""Tolerances, steps and the oracle cap are module constants, not caller settings.
 
-Each equality tolerance and the 12-qubit cap has one owner (``MATCH_TOL`` and
-``ORACLE_QUBIT_LIMIT`` in ``exactdiag``, ``COMMUTE_TOL`` and
-``DROP_TOLERANCE`` in ``paulis``, ``PLANE_TOL`` in ``envelope``), so no
-public signature, dataclass field or config key may carry one again.
+Each equality tolerance, the finite-difference step and the 12-qubit cap has
+one owner (``MATCH_TOL`` and ``ORACLE_QUBIT_LIMIT`` in ``exactdiag``,
+``COMMUTE_TOL`` and ``DROP_TOLERANCE`` in ``paulis``, ``PLANE_TOL`` in
+``envelope``, ``_FD_STEP`` in ``optimize``), so no public signature,
+dataclass field or config key may carry one again.
 """
 
 import dataclasses
@@ -35,7 +36,7 @@ def _public_signatures():
 
 
 def _is_knob(name: str) -> bool:
-    return name == "oracle_limit" or (name.endswith("tol") and name != "grad_tol")
+    return name in ("oracle_limit", "fd_step") or (name.endswith("tol") and name != "grad_tol")
 
 
 def test_no_tolerance_or_cap_is_settable():
