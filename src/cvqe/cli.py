@@ -19,10 +19,11 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 import types
 import typing
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -433,6 +434,30 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]):
         writer.writerows([_format(cell) for cell in row] for row in rows)
 
 
+@contextmanager
+def _claimed(path: str | None):
+    """Claim the CSV path before the command runs.
+
+    An unwritable path fails at once, not after every row is computed.  A
+    run that fails later leaves an existing file as it was and removes the
+    empty file the claim made.
+    """
+    if path is None:
+        yield
+        return
+    try:
+        open(path, "x").close()
+    except FileExistsError:
+        open(path, "a").close()  # checks that it is writable, changes no byte
+        yield
+        return
+    try:
+        yield
+    except BaseException:
+        os.unlink(path)
+        raise
+
+
 def _sector_miss(workspace: Workspace, record) -> bool:
     return any(
         residual > _SECTOR_MISS_FACTOR * workspace.min_gap(i) ** 2
@@ -773,8 +798,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args)
-        header, rows = _COMMANDS[args.command](config)
-        _write_csv(config.out, header, rows)
+        with _claimed(config.out):
+            header, rows = _COMMANDS[args.command](config)
+            _write_csv(config.out, header, rows)
     except OracleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE

@@ -16,6 +16,11 @@ Pauli terms, the bundles inside gradients included.  :func:`minimize`
 copies the three into its record, with the total Pauli-measurement count
 ``n_meas = evals * pauli_ops_per_eval(spec)`` as an exact integer identity;
 the minimizers themselves count nothing.
+
+A gradient prepares all its shifted states (2P, or 2P + 1 with the chain
+rule's base point) in one batched :func:`~cvqe.simulator.prepare` call.
+The ledger still counts one bundle per prepared row, so every count, and
+every gradient bit, is that of preparing the states one at a time.
 """
 
 from __future__ import annotations
@@ -98,7 +103,8 @@ class CostEvaluator:
     counts one in ``n_grad_evals`` and measures its own bundles, never
     through ``value``: two per parameter, plus one base bundle for the
     squared-expectation form under the shift rule (the chain rule needs
-    the unshifted constraint expectations).  ``evals`` counts every bundle.
+    the unshifted constraint expectations), all prepared in one batch.
+    ``evals`` counts every bundle, one per prepared state.
     """
 
     def __init__(self, spec: CostSpec, ansatz: AnsatzConfig):
@@ -112,15 +118,19 @@ class CostEvaluator:
 
     def value(self, params) -> float:
         self.nfev += 1
-        return self._measure(params).total
+        return self._measure(prepare(self.ansatz, params)).total
 
-    def _measure(self, params) -> CostBreakdown:
-        """One prepare-and-measure bundle."""
+    def _measure(self, state: StateVector) -> CostBreakdown:
+        """One measurement bundle on a prepared state."""
         self.evals += 1
-        breakdown = evaluate_cost(self.spec, prepare(self.ansatz, params))
+        breakdown = evaluate_cost(self.spec, state)
         if not math.isfinite(breakdown.total):
             raise NonFiniteCost(f"cost evaluated to {breakdown.total}")
         return breakdown
+
+    def _measure_rows(self, rows) -> list[CostBreakdown]:
+        """One bundle per row of ``rows`` (B, P), all prepared in one call."""
+        return [self._measure(state) for state in prepare(self.ansatz, rows)]
 
     def gradient(self, params, kind: str = "parameter_shift"):
         params = np.asarray(params, dtype=float)
@@ -131,41 +141,50 @@ class CostEvaluator:
         if kind not in GRADIENT_RULES:
             raise ValueError(f"unknown gradient kind {kind!r}")
         self.n_grad_evals += 1
-        grad = np.empty_like(params)
         if kind == "central_difference":
-            for k, plus, minus in _shifted(params, _FD_STEP, self._measure):
-                grad[k] = (plus.total - minus.total) / (2 * _FD_STEP)
-            return grad
+            plus, minus = _pairs(self._measure_rows(_shifted(params, _FD_STEP)))
+            return np.array([(p.total - m.total) / (2 * _FD_STEP) for p, m in zip(plus, minus)])
         if self.spec.form is PenaltyForm.OPERATOR:
             # The whole cost (deflation projectors included) is a single
             # expectation of a fixed operator, so the shift rule applies to
             # the full scalar.
-            for k, plus, minus in _shifted(params, np.pi / 2, self._measure):
-                grad[k] = 0.5 * (plus.total - minus.total)
-            return grad
+            plus, minus = _pairs(self._measure_rows(_shifted(params, np.pi / 2)))
+            return np.array([0.5 * (p.total - m.total) for p, m in zip(plus, minus)])
         # Squared-expectation form: shift rule on <H>, the overlaps and each
         # <C_l>, chained through d/dx mu (<C> - c)^2 = 2 mu (<C> - c) d<C>/dx.
-        base = self._measure(params).measured
-        for k, plus, minus in _shifted(params, np.pi / 2, self._measure):
+        # The unshifted base row rides in the same batch, first.
+        rows = np.vstack([params, _shifted(params, np.pi / 2)])
+        base, *shifted = self._measure_rows(rows)
+        grad = []
+        for plus, minus in zip(*_pairs(shifted)):
             g = 0.5 * (plus.energy_part - minus.energy_part) + 0.5 * (
                 plus.deflation_part - minus.deflation_part
             )
             for constraint, at, c_p, c_m in zip(
-                self.spec.constraints, base, plus.measured, minus.measured
+                self.spec.constraints, base.measured, plus.measured, minus.measured
             ):
                 g += 2.0 * constraint.coefficient * (at - constraint.target) * 0.5 * (c_p - c_m)
-            grad[k] = g
-        return grad
+            grad.append(g)
+        return np.array(grad)
 
 
-def _shifted(params, step, measure):
-    """Yield ``(k, measure(x + step e_k), measure(x - step e_k))`` for each k."""
-    for k in range(params.size):
-        shifted = params.copy()
-        shifted[k] += step
-        plus = measure(shifted)
-        shifted[k] -= 2 * step
-        yield k, plus, measure(shifted)
+def _shifted(params, step):
+    """The (2P, P) rows ``x + step e_k``, ``x - step e_k`` for k = 0..P-1, in pairs.
+
+    Each minus row is its plus row less ``2 * step``: the arithmetic of
+    shifting one parameter forward and then back over a single copy.
+    """
+    size = params.size
+    rows = np.tile(params, (2 * size, 1))
+    k = np.arange(size)
+    rows[2 * k, k] += step
+    rows[2 * k + 1, k] = rows[2 * k, k] - 2 * step
+    return rows
+
+
+def _pairs(measured):
+    """Split bundles measured on :func:`_shifted` rows into (plus, minus)."""
+    return measured[0::2], measured[1::2]
 
 
 def minimize(
@@ -257,12 +276,15 @@ def _minimize_bfgs(evaluator, config, x0):
         if np.max(np.abs(g)) <= config.grad_tol:
             break
         direction = -hess_inv @ g
-        slope = float(direction @ g)
-        if slope >= 0:  # stale curvature; restart from steepest descent
-            hess_inv = np.eye(dim)
-            first_update = True
-            direction = -g
-            slope = -float(g @ g)
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = float(direction @ g)
+            if slope >= 0:  # stale curvature; restart from steepest descent
+                hess_inv = np.eye(dim)
+                first_update = True
+                direction = -g
+                slope = -float(g @ g)
+        if not math.isfinite(slope):  # |g| beyond about 1e154 squares past the float range
+            raise NonFiniteCost(f"BFGS slope evaluated to {slope}")
         if -slope <= _SLOPE_FLOOR * max(1.0, abs(f)):
             break  # no line search can tell such a decrease from rounding
         result = _wolfe_search(evaluator, config, x, direction, f, slope)

@@ -13,6 +13,10 @@ Conventions (fixed so results reproduce bit-for-bit):
   ``R_Y`` angle of qubit ``q`` and ``params[2nl + n + q]`` the ``R_Z``
   angle, so ``parameter_count = 2 n (depth + 1)``.
 
+:func:`prepare` takes one parameter vector or a (B, P) batch of them; a
+batch runs each fused gate over all B rows in one einsum, and every row
+equals its own single preparation bit for bit.
+
 :func:`apply` computes ``O|psi>`` from the X-mask groups each operator
 compiles once (:attr:`cvqe.paulis.PauliSum.compiled`), and
 :func:`expectation` is ``Re <psi|apply(O, psi)>``: one kernel for both.
@@ -114,39 +118,45 @@ def _cz_chain_signs(n: int) -> np.ndarray:
     return signs
 
 
-def prepare(ansatz: AnsatzConfig, params) -> StateVector:
+def prepare(ansatz: AnsatzConfig, params) -> StateVector | list[StateVector]:
     """Run the ansatz circuit on the reference state.
+
+    ``params`` is one (P,) vector, which returns one state, or a (B, P)
+    batch, which returns its B states in row order.  A batch runs the same
+    gates over every row at once, and each row comes out bit for bit equal
+    to its own single ``prepare``; this is how the optimizer prepares all
+    the shifted states of one gradient in a single call.
 
     Each layer's R_Y and R_Z on one qubit are fused into a single 2x2
     unitary (R_Z R_Y, i.e. R_Y applied first); tests pin the result to a
     gate-by-gate dense matrix chain at 1e-10.
     """
     params = np.asarray(params, dtype=float)
-    if params.shape != (ansatz.parameter_count,):
-        raise ParamCountMismatch(
-            f"expected {ansatz.parameter_count} parameters, got {params.shape}"
-        )
+    count = ansatz.parameter_count
+    if params.ndim not in (1, 2) or params.shape[-1] != count:
+        raise ParamCountMismatch(f"expected {count} parameters per row, got {params.shape}")
+    batch = params.reshape(-1, count)
+    size = len(batch)
     n = ansatz.qubit_count
-    ref = ansatz.reference_state or "0" * n
-    state = basis_state(ref, n)
-    amps = state.amplitudes
-    gates = np.empty((n, 2, 2), dtype=np.complex128)
+    ref = basis_state(ansatz.reference_state or "0" * n, n).amplitudes
+    amps = np.tile(ref, (size, 1))
+    gates = np.empty((size, n, 2, 2), dtype=np.complex128)
     for layer in range(ansatz.depth + 1):
         if layer > 0:
             amps *= _cz_chain_signs(n)
         base = 2 * n * layer
-        cos = np.cos(0.5 * params[base : base + n])
-        sin = np.sin(0.5 * params[base : base + n])
-        phase = np.exp(0.5j * params[base + n : base + 2 * n])
-        gates[:, 0, 0] = phase * cos
-        gates[:, 0, 1] = phase * sin
-        gates[:, 1, 0] = -np.conj(phase) * sin
-        gates[:, 1, 1] = np.conj(phase) * cos
+        cos = np.cos(0.5 * batch[:, base : base + n])
+        sin = np.sin(0.5 * batch[:, base : base + n])
+        phase = np.exp(0.5j * batch[:, base + n : base + 2 * n])
+        gates[:, :, 0, 0] = phase * cos
+        gates[:, :, 0, 1] = phase * sin
+        gates[:, :, 1, 0] = -np.conj(phase) * sin
+        gates[:, :, 1, 1] = np.conj(phase) * cos
         for q in range(n):
-            view = amps.reshape(-1, 2, 2**q)
-            amps = np.einsum("ab,hbl->hal", gates[q], view).reshape(-1)
-    state.amplitudes = amps
-    return state
+            view = amps.reshape(size, -1, 2, 2**q)
+            amps = np.einsum("Bab,Bhbl->Bhal", gates[:, q], view).reshape(size, -1)
+    states = [StateVector(row, n) for row in amps]
+    return states[0] if params.ndim == 1 else states
 
 
 def apply(op: PauliSum, amps: np.ndarray) -> np.ndarray:

@@ -304,7 +304,8 @@ def test_criterion_7_measurement_accounting():
         original_prepare = optimize_module.prepare
 
         def counting_prepare(ansatz, params):
-            bundles["n"] += 1
+            # one bundle per prepared row: 1 for a vector, B for a (B, P) batch
+            bundles["n"] += len(np.array(params, ndmin=2))
             return original_prepare(ansatz, params)
 
         ansatz = AnsatzConfig(qubit_count=4, depth=1)

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -648,6 +649,78 @@ class TestArgumentErrors:
         assert run_cli(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "reference" in err, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan-mu", "--constraint", "sz=0", "--mu-values", "1e160"],
+            ["vqe", "--constraint", "sz=0:mu=1e160"],
+            ["vqd", "--levels", "1", "--beta", "1e160"],
+        ],
+        ids=["mu_values", "inline_mu", "beta"],
+    )
+    def test_overflowing_weight_is_a_non_finite_cost(self, argv, tmp_path, capsys):
+        # A gradient near 1e160 squares past the float limit in the BFGS slope.
+        config = tmp_path / "short.json"
+        config.write_text(json.dumps({"hamiltonian": "builtin:heisenberg:2", "max_iterations": 3}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli([*argv, "--config", config, "--depth", 1, "--seeds", 1])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "slope" in err, err
+        assert [str(w.message) for w in caught] == []
+
+
+class TestOutputPath:
+    COMMANDS = {
+        "spectrum": [],
+        "vqe": [],
+        "vqd": ["--levels", "1"],
+        "scan-mu": ["--mu-values", "1"],
+        "envelope": ["--mu-values", "1"],
+    }
+
+    @staticmethod
+    def argv(command, out):
+        return [command, "--hamiltonian", "builtin:heisenberg:2", "--constraint", "sz=0",
+                *TestOutputPath.COMMANDS[command], "--out", out]  # fmt: skip
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_unwritable_out_fails_before_the_command(self, command, tmp_path, monkeypatch, capsys):
+        def oracle(*args):
+            raise AssertionError("the command ran before --out was checked")
+
+        monkeypatch.setattr("cvqe.cli.simultaneous_spectrum_multi", oracle)
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):  # no such folder; a folder
+            assert run_cli(self.argv(command, out)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err, err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_keeps_an_existing_file_and_leaves_no_new_one(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def oracle(*args):
+            raise errors.EmptySector("no such sector")
+
+        monkeypatch.setattr("cvqe.cli.simultaneous_spectrum_multi", oracle)
+        existing = tmp_path / "existing.csv"
+        existing.write_bytes(b"kept\r\n")
+        fresh = tmp_path / "fresh.csv"
+        for out in (existing, fresh):
+            assert run_cli(self.argv("spectrum", out)) == 2
+            assert capsys.readouterr().err == "error: no such sector\n"
+        assert existing.read_bytes() == b"kept\r\n"
+        assert not fresh.exists()
+
+    def test_successful_run_replaces_an_existing_file(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        out.write_text("stale line that is longer than nothing\n" * 100)
+        assert run_cli(self.argv("spectrum", out)) == 0
+        fresh = tmp_path / "fresh.csv"
+        assert run_cli(self.argv("spectrum", fresh)) == 0
+        assert out.read_bytes() == fresh.read_bytes()
 
 
 # config key -> (its flag, a JSON value, a flag text, the field's value once the flag wins)

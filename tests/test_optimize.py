@@ -85,6 +85,84 @@ class TestGradient:
             CostEvaluator(spec, AnsatzConfig(qubit_count=1, depth=0)).gradient(np.zeros(3))
 
 
+def one_at_a_time_gradient(spec, ansatz, params, kind):
+    """The gradient rules with one ``prepare`` per shifted state: the reference
+    the batched :meth:`CostEvaluator.gradient` must equal bit for bit."""
+
+    def measure(x):
+        return evaluate_cost(spec, prepare(ansatz, x))
+
+    step = optimize_module._FD_STEP if kind == "central_difference" else np.pi / 2
+    base = measure(params).measured
+    grad = np.empty_like(params)
+    for k in range(params.size):
+        shifted = params.copy()
+        shifted[k] += step
+        plus = measure(shifted)
+        shifted[k] -= 2 * step
+        minus = measure(shifted)
+        if kind == "central_difference":
+            grad[k] = (plus.total - minus.total) / (2 * step)
+        elif spec.form is PenaltyForm.OPERATOR:
+            grad[k] = 0.5 * (plus.total - minus.total)
+        else:
+            g = 0.5 * (plus.energy_part - minus.energy_part) + 0.5 * (
+                plus.deflation_part - minus.deflation_part
+            )
+            for constraint, at, c_p, c_m in zip(
+                spec.constraints, base, plus.measured, minus.measured
+            ):
+                g += 2.0 * constraint.coefficient * (at - constraint.target) * 0.5 * (c_p - c_m)
+            grad[k] = g
+    return grad
+
+
+GRADIENT_CASES = [
+    # form, rule, rows beyond the 2P shifted ones (the f2 chain rule's base row)
+    (PenaltyForm.OPERATOR, "parameter_shift", 0),
+    (PenaltyForm.EXPECTATION, "parameter_shift", 1),
+    (PenaltyForm.OPERATOR, "central_difference", 0),
+    (PenaltyForm.EXPECTATION, "central_difference", 0),
+]
+
+
+class TestBatchedGradient:
+    @pytest.mark.parametrize("form, kind, extra", GRADIENT_CASES)
+    def test_one_prepare_call_per_gradient(self, form, kind, extra, monkeypatch):
+        shapes = []
+
+        def counting_prepare(ansatz, params):
+            shapes.append(np.shape(params))
+            return prepare(ansatz, params)
+
+        monkeypatch.setattr(optimize_module, "prepare", counting_prepare)
+        ansatz = AnsatzConfig(qubit_count=2, depth=1)
+        evaluator = CostEvaluator(sector_spec(mu=2.0, form=form), ansatz)
+        evaluator.gradient(np.full(ansatz.parameter_count, 0.3), kind)
+        rows = 2 * ansatz.parameter_count + extra
+        assert shapes == [(rows, ansatz.parameter_count)]
+        assert evaluator.evals == rows
+
+    @pytest.mark.parametrize("form, kind, extra", GRADIENT_CASES)
+    def test_equals_one_prepare_per_row_bit_for_bit(self, form, kind, extra):
+        rng = np.random.default_rng(17)
+        for n, depth in ((2, 1), (3, 2), (4, 1)):
+            ansatz = AnsatzConfig(qubit_count=n, depth=depth)
+            constraint = PenaltyConstraint(build_total_sz(n), 1.0, 1.7, 0.5)
+            deflated = prepare(ansatz, rng.uniform(0, 2 * np.pi, ansatz.parameter_count))
+            spec = CostSpec(
+                hamiltonian=build_heisenberg_chain(n),
+                constraints=(constraint,),
+                form=form,
+                deflation=((deflated, 0.8),),
+                noise=NoiseModel(0.05),
+            )
+            params = rng.uniform(0, 2 * np.pi, ansatz.parameter_count)
+            got = CostEvaluator(spec, ansatz).gradient(params, kind)
+            want = one_at_a_time_gradient(spec, ansatz, params, kind)
+            assert got.tobytes() == want.tobytes()
+
+
 class TestMinimize:
     def test_single_qubit_ground(self):
         spec = CostSpec(hamiltonian=Z0)
@@ -160,17 +238,22 @@ class TestMinimize:
             assert record.n_meas == units * pauli_ops_per_eval(spec)
 
 
+def prepared_rows(params) -> np.ndarray:
+    """The parameter rows of one ``prepare`` call: 1 for a vector, B for a batch."""
+    return np.array(params, dtype=float, ndmin=2)
+
+
 @pytest.fixture
 def prepared(monkeypatch):
-    """Parameters of every state the optimize module prepares, in order."""
-    calls = []
+    """Parameters of every state the optimize module prepares, row by row, in order."""
+    rows = []
 
     def counting_prepare(ansatz, params):
-        calls.append(params)
+        rows.extend(prepared_rows(params))
         return prepare(ansatz, params)
 
     monkeypatch.setattr(optimize_module, "prepare", counting_prepare)
-    return calls
+    return rows
 
 
 class TestMeasurementAccounting:
@@ -195,7 +278,7 @@ class TestMeasurementAccounting:
             original_prepare = prepare
 
             def counting_prepare(a, p):
-                bundle_count["n"] += 1
+                bundle_count["n"] += len(prepared_rows(p))
                 return original_prepare(a, p)
 
             import cvqe.optimize as optimize_module

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cvqe import (
     AnsatzConfig,
@@ -14,7 +17,7 @@ from cvqe import (
     prepare,
 )
 from cvqe.errors import DimensionMismatch, InvalidProbability, ParamCountMismatch
-from helpers import dense_oracle, random_pauli_sum, random_state
+from helpers import PROPERTY, dense_oracle, random_pauli_sum, random_state
 
 
 def circuit_matrix_oracle(ansatz: AnsatzConfig, params: np.ndarray) -> np.ndarray:
@@ -90,6 +93,32 @@ class TestPrepare:
     def test_param_count_mismatch(self):
         with pytest.raises(ParamCountMismatch):
             prepare(AnsatzConfig(qubit_count=2, depth=1), np.zeros(5))
+
+    @pytest.mark.parametrize("shape", [(3, 7), (3, 9), (1, 3, 8), (2, 3, 8), ()])
+    def test_batch_shape_mismatch(self, shape):
+        with pytest.raises(ParamCountMismatch):
+            prepare(AnsatzConfig(qubit_count=2, depth=1), np.zeros(shape))
+
+
+@st.composite
+def ansatz_batches(draw):
+    n = draw(st.integers(1, 5))
+    depth = draw(st.integers(0, 3))
+    reference = draw(st.none() | st.text("01", min_size=n, max_size=n))
+    ansatz = AnsatzConfig(qubit_count=n, depth=depth, reference_state=reference)
+    rows = draw(st.integers(1, 7))
+    angles = st.floats(-4 * np.pi, 4 * np.pi, allow_nan=False)
+    return ansatz, draw(arrays(np.float64, (rows, ansatz.parameter_count), elements=angles))
+
+
+@PROPERTY
+@given(ansatz_batches())
+def test_batch_rows_equal_single_prepares(case):
+    ansatz, batch = case
+    states = prepare(ansatz, batch)
+    assert len(states) == len(batch)
+    for row, state in zip(batch, states):
+        assert state.amplitudes.tobytes() == prepare(ansatz, row).amplitudes.tobytes()
 
 
 class TestExpectation:
