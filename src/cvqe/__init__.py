@@ -30,7 +30,7 @@ from .envelope import (
 )
 from .exactdiag import (
     SectorTarget,
-    SpectrumPoint,
+    Spectrum,
     dense_matrix,
     min_distinct_gap,
     sector_ground_multi,

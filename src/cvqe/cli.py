@@ -44,6 +44,7 @@ from .envelope import (
 from .errors import InvalidEstimate, OracleError, ParseError
 from .exactdiag import (
     SectorTarget,
+    Spectrum,
     in_sector,
     min_distinct_gap,
     sector_ground_multi,
@@ -315,14 +316,14 @@ class Workspace:
         self._constraints: tuple[PenaltyConstraint, ...] | None = None
 
     @functools.cached_property
-    def points(self):
+    def spectrum(self) -> Spectrum:
         """The oracle's spectrum, computed when a command first reads it."""
         return simultaneous_spectrum_multi(self.hamiltonian, self.observables)
 
     @functools.cached_property
     def target(self) -> SectorTarget:
         """Ground of the target sector; with no constraints, the global ground."""
-        return sector_ground_multi(self.points, self.targets)
+        return sector_ground_multi(self.spectrum, self.targets)
 
     def min_gap(self, index: int) -> float:
         """Universal per-family gap for builtins, computed gap otherwise."""
@@ -350,10 +351,10 @@ class Workspace:
             except InvalidEstimate as exc:
                 raise ConfigError(str(exc)) from exc
         if request.policy == "auto-simple":
-            e_ground = self.points[0].energy
+            e_ground = float(self.spectrum.energies[0])
             return simple_coefficient(self.target.energy, e_ground, self.min_gap(index))
         if request.policy == "auto-exact":
-            return exact_coefficient(self.points, self.target, constraint=index)
+            return exact_coefficient(self.spectrum, self.target, constraint=index)
         raise ConfigError(f"unknown mu policy {request.policy!r}")
 
     def penalty_constraints(self, coefficient_override: float | None = None):
@@ -467,18 +468,14 @@ def _sector_miss(workspace: Workspace, record) -> bool:
 
 def cmd_spectrum(config: ExperimentConfig) -> tuple[list, list]:
     workspace = Workspace(config)
-    ground_rank = workspace.target.index
-    header = ["index", "energy"]
-    header += [f"charge_{name}" for name in workspace.observable_names]
+    spectrum = workspace.spectrum
+    header = ["index", "energy", *(f"charge_{name}" for name in workspace.observable_names)]
+    columns = [range(len(spectrum)), spectrum.energies.tolist(), *spectrum.charges.tolist()]
     if workspace.observables:
         header += ["in_target_sector", "is_sector_ground"]
-    rows = []
-    for rank, point in enumerate(workspace.points):
-        row = [rank, point.energy, *point.charges]
-        if workspace.observables:
-            row += [in_sector(point.charges, workspace.targets), rank == ground_rank]
-        rows.append(row)
-    return header, rows
+        columns.append(in_sector(spectrum.charges, workspace.targets).tolist())
+        columns.append([rank == workspace.target.index for rank in columns[0]])
+    return header, [list(row) for row in zip(*columns)]
 
 
 def _trial_rows(workspace: Workspace, records, e_reference: float):
@@ -631,14 +628,12 @@ def cmd_vqd(config: ExperimentConfig) -> tuple[list, list]:
     betas = _resolve_betas(workspace, config.levels)
     constraints = workspace.penalty_constraints()
     # Ideal ladder: eigenstates ordered by their penalized energies.
-    penalized = sorted(
-        workspace.points,
-        key=lambda p: p.energy
-        + sum(
-            c.coefficient * (charge - c.target) ** 2
-            for c, charge in zip(constraints, p.charges)
-        ),
+    spectrum = workspace.spectrum
+    penalized = spectrum.energies + sum(
+        c.coefficient * (charges - c.target) ** 2
+        for c, charges in zip(constraints, spectrum.charges)
     )
+    ladder = spectrum.energies[np.argsort(penalized, kind="stable")].tolist()
     header = ["level", *_TRIAL_HEADER_PREFIX[1:]]
     header += [f"residual_{name}" for name in workspace.observable_names]
     header += ["sector_miss", "max_overlap_previous", "seed"]
@@ -648,7 +643,7 @@ def cmd_vqd(config: ExperimentConfig) -> tuple[list, list]:
         deflation = tuple((state, betas[i]) for i, state in enumerate(found_states))
         spec = workspace.cost_spec(constraints, deflation=deflation)
         records, summary = run_trials(spec, ansatz, workspace.optimizer_config(), config.seeds)
-        e_reference = penalized[level].energy if level < len(penalized) else float("nan")
+        e_reference = ladder[level] if level < len(ladder) else float("nan")
         trial_rows = _trial_rows(workspace, records, e_reference)
         for seed, (record, row) in enumerate(zip(records, trial_rows)):
             max_overlap = max(
@@ -666,16 +661,16 @@ def cmd_envelope(config: ExperimentConfig) -> tuple[list, list]:
         if mu <= 0:
             raise ConfigError(f"envelope needs --mu-values (config key 'mu_values') > 0, got {mu}")
     workspace = Workspace(config)
-    points = workspace.points
+    spectrum = workspace.spectrum
     # The first constraint defines the (charge, energy) plane.
-    plane = [(p.charges[0], p.energy) for p in points]
+    plane = list(zip(spectrum.charges[0].tolist(), spectrum.energies.tolist()))
     target_charge = workspace.targets[0]
     target = workspace.target
     e_target = target.energy
     classification = classify_target(plane, target_charge, e_target)
     hull = lower_hull(plane)
     # measured at the target's own spectrum charge, not the requested one
-    clearance = e_target - hull_energy_at(hull, points[target.index].charges[0])
+    clearance = e_target - hull_energy_at(hull, plane[target.index][0])
     noise_p = config.noise_p
     trace_h = workspace.hamiltonian.identity_coefficient
     trace_c = workspace.observables[0].identity_coefficient

@@ -19,7 +19,7 @@ charges match a target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,13 +56,25 @@ def dense_matrix(op: PauliSum) -> np.ndarray:
     return out
 
 
-@dataclass
-class SpectrumPoint:
-    """One simultaneous eigenpair; ``charges`` holds one value per observable."""
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Simultaneous eigenbasis of H and k observables: read-only ``energies``
+    (2^n,) and ``charges`` (k, 2^n); eigenvectors held once, read by :meth:`vector`."""
 
-    energy: float
-    charges: tuple[float, ...]
-    eigenvector: StateVector
+    energies: np.ndarray
+    charges: np.ndarray
+    _vectors: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for array in (self.energies, self.charges, self._vectors):
+            array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.energies.shape[0]
+
+    def vector(self, i: int) -> StateVector:
+        """Eigenvector ``i`` as a fresh :class:`StateVector`."""
+        return StateVector(self._vectors[:, i].copy(), len(self).bit_length() - 1)
 
 
 @dataclass(frozen=True)
@@ -74,26 +86,22 @@ class SectorTarget:
     energy: float
 
 
-def _levels(sorted_values: np.ndarray, op: PauliSum) -> list[slice]:
-    """Slices of consecutive entries of an ascending array of ``op``'s eigenvalues.
+def _levels(sorted_values: np.ndarray, op: PauliSum, offset: int = 0) -> list[slice]:
+    """Slices, shifted by ``offset``, of the levels in an ascending array of ``op``'s eigenvalues.
 
     Neighbours closer than ``MATCH_TOL * max(1, coefficient_norm(op))`` are
     one level.
     """
     tol = MATCH_TOL * max(1.0, coefficient_norm(op))
-    slices = []
-    start = 0
-    for i in range(1, len(sorted_values) + 1):
-        if i == len(sorted_values) or sorted_values[i] - sorted_values[i - 1] > tol:
-            slices.append(slice(start, i))
-            start = i
-    return slices
+    cuts = (np.flatnonzero(np.diff(sorted_values) > tol) + 1 + offset).tolist()
+    edges = [offset, *cuts, offset + len(sorted_values)]
+    return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
 
 
-def simultaneous_spectrum_multi(hamiltonian: PauliSum, observables) -> list[SpectrumPoint]:
+def simultaneous_spectrum_multi(hamiltonian: PauliSum, observables) -> Spectrum:
     """Full simultaneous eigenbasis of H and every commuting observable.
 
-    Points come back in eigenvector index order, which is already sorted:
+    Rows come in eigenvector index order, which is already sorted:
     ``eigh`` returns ascending energies, and the refinement rotates vectors
     only inside an energy cluster, returning each observable's charges in
     ascending order inside each sub-cluster of the observables before it.
@@ -101,16 +109,14 @@ def simultaneous_spectrum_multi(hamiltonian: PauliSum, observables) -> list[Spec
     not hinge on last-bit noise inside a degenerate multiplet.
     """
     _check_size(hamiltonian)
-    n = hamiltonian.qubit_count
     observables = list(observables)
-    for obs in observables:
-        if not commutes(hamiltonian, obs):
-            raise NotCommuting("observable does not commute with the Hamiltonian")
+    if not all(commutes(hamiltonian, obs) for obs in observables):
+        raise NotCommuting("observable does not commute with the Hamiltonian")
 
     energies, vectors = np.linalg.eigh(dense_matrix(hamiltonian))
     blocks = _levels(energies, hamiltonian)
 
-    charges = np.zeros((len(observables), 2**n))
+    charges = np.zeros((len(observables), len(energies)))
     for k, obs in enumerate(observables):
         projected = dense_matrix(obs) @ vectors
         refined = []
@@ -119,39 +125,38 @@ def simultaneous_spectrum_multi(hamiltonian: PauliSum, observables) -> list[Spec
             vals, rot = np.linalg.eigh(sub.conj().T @ projected[:, block])
             vectors[:, block] = sub @ rot
             charges[k, block] = vals
-            offset = block.start
-            for piece in _levels(vals, obs):
-                refined.append(slice(offset + piece.start, offset + piece.stop))
+            refined += _levels(vals, obs, offset=block.start)
         blocks = refined
         del projected  # before the next dense matrix: at most three 4^n arrays live
 
-    return [
-        SpectrumPoint(
-            float(energies[i]),
-            tuple(float(c) for c in charges[:, i]),
-            StateVector(vectors[:, i].copy(), n),
-        )
-        for i in range(2**n)
-    ]
+    return Spectrum(energies, charges, vectors)
 
 
-def simultaneous_spectrum(hamiltonian: PauliSum, observable: PauliSum) -> list[SpectrumPoint]:
+def simultaneous_spectrum(hamiltonian: PauliSum, observable: PauliSum) -> Spectrum:
     """Simultaneous (charge, energy) eigenpairs for a single observable."""
     return simultaneous_spectrum_multi(hamiltonian, [observable])
 
 
-def in_sector(charges, targets) -> bool:
-    """Whether every charge lies within :data:`MATCH_TOL` of its target."""
-    return all(abs(c - t) <= MATCH_TOL for c, t in zip(charges, targets))
+def in_sector(charges, targets):
+    """Whether every charge lies within :data:`MATCH_TOL` of its target.
+
+    ``charges`` holds one row per target: shape (k,) for one state, giving
+    one bool, or (k, m) for m states, giving a mask of m bools.
+    """
+    charges = np.asarray(charges)
+    if len(targets) != len(charges):
+        raise ValueError(f"{len(targets)} target charges for {len(charges)} observables")
+    return np.all(np.abs(charges.T - np.asarray(targets, dtype=float)) <= MATCH_TOL, axis=-1)
 
 
-def sector_ground_multi(points, targets) -> SectorTarget:
+def sector_ground_multi(spectrum: Spectrum, targets) -> SectorTarget:
     """Sector ground for a tuple of target charges, one per observable."""
     targets = tuple(targets)
-    for rank, point in enumerate(points):
-        if in_sector(point.charges, targets):
-            return SectorTarget(targets, rank, point.energy)
-    raise EmptySector(f"no eigenstate with charges {targets} (tol {MATCH_TOL})")
+    hits = np.flatnonzero(in_sector(spectrum.charges, targets))
+    if hits.size == 0:
+        raise EmptySector(f"no eigenstate with charges {targets} (tol {MATCH_TOL})")
+    index = int(hits[0])
+    return SectorTarget(targets, index, float(spectrum.energies[index]))
 
 
 def min_distinct_gap(observable: PauliSum) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import InconsistentTarget, InvalidEstimate
-from .exactdiag import MATCH_TOL, SectorTarget, in_sector
+from .exactdiag import MATCH_TOL, SectorTarget, Spectrum, in_sector
 from .paulis import PauliSum, coefficient_norm, square_shifted
 
 
@@ -66,7 +66,7 @@ class PenaltyConstraint:
         return out
 
 
-def exact_coefficient(points, target: SectorTarget, constraint: int = 0) -> float:
+def exact_coefficient(spectrum: Spectrum, target: SectorTarget, constraint: int = 0) -> float:
     """Tight threshold ``max_i (E_target - E_i) / (C_i - c)^2`` for one constraint.
 
     The max runs over the states below the target.  A state that already
@@ -75,16 +75,15 @@ def exact_coefficient(points, target: SectorTarget, constraint: int = 0) -> floa
     :class:`InconsistentTarget`.  Returns 0 when the target is the global
     ground state (no lower-lying states, so any positive coefficient works).
     """
-    best = 0.0
-    for point in points[: target.index]:
-        if in_sector(point.charges, target.charges):
-            raise InconsistentTarget(
-                f"state below index {target.index} already has charges {target.charges}"
-            )
-        gap_c = point.charges[constraint] - target.charges[constraint]
-        if abs(gap_c) > MATCH_TOL:
-            best = max(best, (target.energy - point.energy) / gap_c**2)
-    return float(best)
+    below = slice(0, target.index)
+    if in_sector(spectrum.charges[:, below], target.charges).any():
+        raise InconsistentTarget(
+            f"state below index {target.index} already has charges {target.charges}"
+        )
+    gap_c = spectrum.charges[constraint, below] - target.charges[constraint]
+    apart = abs(gap_c) > MATCH_TOL
+    ratios = (target.energy - spectrum.energies[below][apart]) / gap_c[apart] ** 2
+    return float(ratios.max(initial=0.0))
 
 
 def simple_coefficient(e_target: float, e_ground: float, min_gap: float) -> float:

@@ -106,33 +106,32 @@ def _boundary_instances(minimum: int = 20):
         h = random_symmetric_hamiltonian(rng, n)
         builder, universal_gap = observables[int(rng.integers(0, 3))]
         obs = builder(n)
-        points = simultaneous_spectrum(h, obs)
-        charges = sorted({round(p.charges[0], 6) for p in points})
+        spectrum = simultaneous_spectrum(h, obs)
+        charges = sorted({round(q, 6) for q in spectrum.charges[0].tolist()})
         c = float(charges[int(rng.integers(0, len(charges)))])
-        target = sector_ground_multi(points, (c,))
+        target = sector_ground_multi(spectrum, (c,))
         if target.index == 0:
             continue
-        plane = [(p.charges[0], p.energy) for p in points]
+        plane = list(zip(spectrum.charges[0].tolist(), spectrum.energies.tolist()))
         if classify_target(plane, c, target.energy) is not Classification.BOUNDARY:
             continue
-        instances.append((h, obs, universal_gap, points, c, target))
+        instances.append((h, universal_gap, spectrum, plane, c, target))
     return instances
 
 
 def test_criterion_2_threshold_theorem():
     """Tight threshold attains the target; exact <= simple <= rough everywhere."""
     instances = _boundary_instances(20)
-    for h, obs, universal_gap, points, c, target in instances:
-        exact = exact_coefficient(points, target)
-        simple = simple_coefficient(target.energy, points[0].energy, universal_gap)
+    for h, universal_gap, spectrum, plane, c, target in instances:
+        exact = exact_coefficient(spectrum, target)
+        simple = simple_coefficient(target.energy, spectrum.energies[0], universal_gap)
         rough = rough_coefficient(h, universal_gap)
         assert exact <= simple + 1e-12
         assert simple <= rough + 1e-12
         mu = exact * (1 + 1e-6)
-        plane = [(p.charges[0], p.energy) for p in points]
         value, index = minimize_operator_penalty(plane, c, mu)
         assert value == pytest.approx(target.energy, abs=1e-9)
-        assert abs(points[index].charges[0] - c) < 1e-8
+        assert abs(plane[index][0] - c) < 1e-8
     report(2, f"threshold theorem verified on {len(instances)} boundary instances")
 
 
@@ -140,10 +139,10 @@ def test_criterion_3_deviation_law():
     """Squared-expectation undershoot is alpha^2/(4 mu) with log-log slope -1."""
     toy = [(0.0, -2.0), (1.0, -1.0)]
     cases = [(toy, 1.0, -1.0)]
-    points = simultaneous_spectrum(HEISENBERG4, build_total_sz(4))
-    plane = [(p.charges[0], p.energy) for p in points]
+    spectrum = simultaneous_spectrum(HEISENBERG4, build_total_sz(4))
+    plane = list(zip(spectrum.charges[0].tolist(), spectrum.energies.tolist()))
     for c in (2.0, -2.0):
-        target = sector_ground_multi(points, (c,))
+        target = sector_ground_multi(spectrum, (c,))
         cases.append((plane, c, target.energy))
     mus = np.array([1.0, 10.0, 100.0, 1000.0])
     for cloud, c, e_target in cases:
@@ -165,9 +164,9 @@ def test_criterion_4_interior_target_failure():
     """Interior target: expectation penalty can never reach it, operator penalty does."""
     h = diagonal_hamiltonian(INTERIOR_ENERGIES)
     number_op = build_number_operator(3)
-    points = simultaneous_spectrum(h, number_op)
-    target = sector_ground_multi(points, (1.0,))
-    plane = [(p.charges[0], p.energy) for p in points]
+    spectrum = simultaneous_spectrum(h, number_op)
+    target = sector_ground_multi(spectrum, (1.0,))
+    plane = list(zip(spectrum.charges[0].tolist(), spectrum.energies.tolist()))
     assert classify_target(plane, 1.0, target.energy) is Classification.INTERIOR
     clearance = target.energy - hull_energy_at(lower_hull(plane), 1.0)
     assert clearance > 0
@@ -185,7 +184,7 @@ def test_criterion_4_interior_target_failure():
     )
     assert abs(sup_again - sup_f_min) <= 1e-9
 
-    mu_simple = simple_coefficient(target.energy, points[0].energy, 1.0)
+    mu_simple = simple_coefficient(target.energy, spectrum.energies[0], 1.0)
     constraint = PenaltyConstraint(number_op, 1.0, mu_simple, 1.0)
     spec = CostSpec(hamiltonian=h, constraints=(constraint,))
     ansatz = AnsatzConfig(qubit_count=3, depth=3)
@@ -255,8 +254,8 @@ def test_criterion_5_noise_robustness():
 
 def test_criterion_6_vqe_vqd_against_oracle():
     """Ground, deflated first-excited, and constrained sector ground to 1e-6."""
-    points = simultaneous_spectrum(HEISENBERG4, build_total_sz(4))
-    e0, e1 = points[0].energy, points[1].energy
+    spectrum = simultaneous_spectrum(HEISENBERG4, build_total_sz(4))
+    e0, e1 = spectrum.energies[:2].tolist()
 
     free = CostSpec(hamiltonian=HEISENBERG4)
     ground_records, ground_summary = run_trials(
@@ -270,7 +269,7 @@ def test_criterion_6_vqe_vqd_against_oracle():
     _, excited_summary = run_trials(deflated, ANSATZ4, OptimizerConfig(seed=43), 10)
     assert excited_summary.best_cost == pytest.approx(e1, abs=1e-6)
 
-    target = sector_ground_multi(points, (1.0,))
+    target = sector_ground_multi(spectrum, (1.0,))
     mu = simple_coefficient(target.energy, e0, 0.5)
     sector_spec = CostSpec(
         hamiltonian=HEISENBERG4,
@@ -330,17 +329,16 @@ def test_criterion_8_convergence_cost_ordering():
     observables = [build_s_squared(4), build_total_sz(4)]
     targets = [2.0, -1.0]
     gaps = [0.75, 0.5]
-    points = simultaneous_spectrum_multi(HEISENBERG4, observables)
-    sector = sector_ground_multi(points, targets)
+    spectrum = simultaneous_spectrum_multi(HEISENBERG4, observables)
+    sector = sector_ground_multi(spectrum, targets)
 
     exact_coeffs = []
+    below = spectrum.energies[: sector.index]
     for k in range(2):
-        best = 0.0
-        for p in points[: sector.index]:
-            distance = p.charges[k] - targets[k]
-            if abs(distance) > 1e-8:
-                best = max(best, (sector.energy - p.energy) / distance**2)
-        exact_coeffs.append(best)
+        distance = spectrum.charges[k, : sector.index] - targets[k]
+        apart = np.abs(distance) > 1e-8
+        ratios = (sector.energy - below[apart]) / distance[apart] ** 2
+        exact_coeffs.append(float(ratios.max(initial=0.0)))
     rough_coeffs = [rough_coefficient(HEISENBERG4, gap) for gap in gaps]
 
     mean_nfev = {}

@@ -454,13 +454,27 @@ class TestPolicyResolution:
         )
         return Workspace(config)
 
+    def test_cached_spectrum_is_read_only_and_vectors_are_copies(self):
+        workspace = self.make_workspace(["sz=1"])
+        spectrum = workspace.spectrum
+        assert workspace.spectrum is spectrum
+        for array in (spectrum.energies, spectrum.charges):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        first = spectrum.vector(0)
+        kept = first.amplitudes.copy()
+        first.amplitudes[:] = 0.0
+        again = spectrum.vector(0)
+        assert again.qubit_count == 4
+        assert again.amplitudes.tobytes() == kept.tobytes()
+
     def test_auto_exact_single(self):
         from cvqe import exact_coefficient, sector_ground_multi, simultaneous_spectrum
         from cvqe import build_heisenberg_chain, build_total_sz
 
         workspace = self.make_workspace(["sz=1:mu=auto-exact"])
-        points = simultaneous_spectrum(build_heisenberg_chain(4), build_total_sz(4))
-        expected = exact_coefficient(points, sector_ground_multi(points, (1.0,)))
+        spectrum = simultaneous_spectrum(build_heisenberg_chain(4), build_total_sz(4))
+        expected = exact_coefficient(spectrum, sector_ground_multi(spectrum, (1.0,)))
         assert workspace.resolve_coefficient(0) == pytest.approx(expected)
 
     def test_auto_exact_multi_skips_matching_charges(self):
@@ -468,19 +482,18 @@ class TestPolicyResolution:
         mus = [workspace.resolve_coefficient(0), workspace.resolve_coefficient(1)]
         # every lower-lying state differs in at least one observable, so the
         # per-observable maxima keep the combined penalty sufficient
-        points = workspace.points
+        spectrum = workspace.spectrum
         sector = workspace.target
-        for point in points[: sector.index]:
-            penalized = point.energy + sum(
-                mu * (charge - target) ** 2
-                for mu, charge, target in zip(mus, point.charges, [2.0, -1.0])
-            )
-            assert penalized >= sector.energy - 1e-9
+        penalized = spectrum.energies + sum(
+            mu * (charges - target) ** 2
+            for mu, charges, target in zip(mus, spectrum.charges, [2.0, -1.0])
+        )
+        assert np.all(penalized[: sector.index] >= sector.energy - 1e-9)
 
     def test_auto_simple_uses_universal_gap(self):
         workspace = self.make_workspace(["sz=1:mu=auto-simple"])
         e_target = workspace.target.energy
-        e_ground = workspace.points[0].energy
+        e_ground = workspace.spectrum.energies[0]
         assert workspace.resolve_coefficient(0) == pytest.approx(
             (e_target - e_ground) / 0.5**2
         )

@@ -191,8 +191,7 @@ class TestNoiseStructure:
     def test_variational_lower_bound(self):
         rng = np.random.default_rng(11)
         h = build_heisenberg_chain(3)
-        points = simultaneous_spectrum(h, build_total_sz(3))
-        e0 = points[0].energy
+        e0 = simultaneous_spectrum(h, build_total_sz(3)).energies[0]
         constraint = PenaltyConstraint(build_total_sz(3), 0.5, 2.0, 0.5)
         spec = CostSpec(hamiltonian=h, constraints=(constraint,))
         for _ in range(50):
@@ -206,8 +205,8 @@ class TestModifiedHamiltonianEquivalence:
         # of H + sum_i beta_i |psi_i><psi_i|
         rng = np.random.default_rng(19)
         h = build_heisenberg_chain(3)
-        points = simultaneous_spectrum(h, build_total_sz(3))
-        deflation = tuple((points[i].eigenvector, 2.0 + i) for i in range(3))
+        spectrum = simultaneous_spectrum(h, build_total_sz(3))
+        deflation = tuple((spectrum.vector(i), 2.0 + i) for i in range(3))
         spec = CostSpec(hamiltonian=h, deflation=deflation)
         dense = dense_oracle(h).astype(complex)
         for state_vec, beta in deflation:

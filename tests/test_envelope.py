@@ -100,9 +100,9 @@ class TestClassifyTarget:
         assert classify_target(pts, 1.0, -0.5) is Classification.INTERIOR
 
     def test_heisenberg_sector_is_boundary(self):
-        points = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
-        target = sector_ground_multi(points, (1.0,))
-        plane = [(p.charges[0], p.energy) for p in points]
+        spectrum = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
+        target = sector_ground_multi(spectrum, (1.0,))
+        plane = list(zip(spectrum.charges[0], spectrum.energies))
         assert classify_target(plane, 1.0, target.energy) is Classification.BOUNDARY
 
     def test_target_not_in_cloud(self):
@@ -218,9 +218,9 @@ class TestTangentClosedForm:
 
 class TestDeviationLaw:
     def test_deviation_exact_in_tangent_regime(self):
-        points = simultaneous_spectrum(build_heisenberg_chain(4), build_total_sz(4))
-        plane = [(p.charges[0], p.energy) for p in points]
-        target = sector_ground_multi(points, (2.0,))
+        spectrum = simultaneous_spectrum(build_heisenberg_chain(4), build_total_sz(4))
+        plane = list(zip(spectrum.charges[0], spectrum.energies))
+        target = sector_ground_multi(spectrum, (2.0,))
         for mu in (1.0, 10.0, 100.0, 1000.0):
             result = tangent_closed_form(plane, 2.0, target.energy, mu)
             assert result.case is TangentCase.BOUNDARY_TANGENT
@@ -228,9 +228,9 @@ class TestDeviationLaw:
             assert deviation == pytest.approx(result.alpha**2 / (4 * mu), abs=1e-12)
 
     def test_log_log_slope_is_minus_one(self):
-        points = simultaneous_spectrum(build_heisenberg_chain(4), build_total_sz(4))
-        plane = [(p.charges[0], p.energy) for p in points]
-        target = sector_ground_multi(points, (2.0,))
+        spectrum = simultaneous_spectrum(build_heisenberg_chain(4), build_total_sz(4))
+        plane = list(zip(spectrum.charges[0], spectrum.energies))
+        target = sector_ground_multi(spectrum, (2.0,))
         mus = np.array([1.0, 10.0, 100.0, 1000.0])
         devs = np.array(
             [target.energy - minimize_expectation_penalty(plane, 2.0, m).f_min for m in mus]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cvqe.exactdiag as exactdiag
 from cvqe import (
@@ -19,7 +21,8 @@ from cvqe import (
     simultaneous_spectrum_multi,
 )
 from cvqe.errors import EmptySector, NotCommuting, OracleTooLarge, SingleEigenvalue
-from helpers import dense_oracle, observable_menu, random_symmetric_hamiltonian
+from cvqe.exactdiag import in_sector
+from helpers import PROPERTY, dense_oracle, observable_menu, random_symmetric_hamiltonian
 
 
 class TestDenseMatrix:
@@ -35,15 +38,17 @@ class TestDenseMatrix:
 
 class TestSimultaneousSpectrum:
     def test_heisenberg_two_sites(self):
-        points = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
-        got = [(round(p.charges[0], 9), round(p.energy, 9)) for p in points]
-        assert got == [(0, -0.75), (-1, 0.25), (0, 0.25), (1, 0.25)]
+        spectrum = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
+        assert len(spectrum) == 4
+        assert spectrum.charges.shape == (1, 4)
+        assert np.round(spectrum.charges[0], 9).tolist() == [0, -1, 0, 1]
+        assert np.round(spectrum.energies, 9).tolist() == [-0.75, 0.25, 0.25, 0.25]
 
     def test_z_with_itself(self):
         op = PauliSum((PauliTerm(1.0, ((0, "Z"),)),), 1)
-        points = simultaneous_spectrum(op, op)
-        got = [(round(p.energy, 12), round(p.charges[0], 12)) for p in points]
-        assert got == [(-1, -1), (1, 1)]
+        spectrum = simultaneous_spectrum(op, op)
+        assert np.round(spectrum.energies, 12).tolist() == [-1, 1]
+        assert np.round(spectrum.charges, 12).tolist() == [[-1, 1]]
 
     def test_residuals_per_point(self):
         rng = np.random.default_rng(5)
@@ -52,21 +57,20 @@ class TestSimultaneousSpectrum:
             h = random_symmetric_hamiltonian(rng, n)
             c = build_total_sz(n)
             mh, mc = dense_matrix(h), dense_matrix(c)
-            for p in simultaneous_spectrum(h, c):
-                v = p.eigenvector.amplitudes
-                assert np.linalg.norm(mh @ v - p.energy * v) < 1e-8
-                assert np.linalg.norm(mc @ v - p.charges[0] * v) < 1e-8
+            spectrum = simultaneous_spectrum(h, c)
+            for i, (energy, charge) in enumerate(zip(spectrum.energies, spectrum.charges[0])):
+                v = spectrum.vector(i).amplitudes
+                assert np.linalg.norm(mh @ v - energy * v) < 1e-8
+                assert np.linalg.norm(mc @ v - charge * v) < 1e-8
 
     def test_reconstruction(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
             n = int(rng.integers(2, 5))
             h = random_symmetric_hamiltonian(rng, n)
-            points = simultaneous_spectrum(h, build_total_sz(n))
-            rebuilt = sum(
-                p.energy * np.outer(p.eigenvector.amplitudes, np.conj(p.eigenvector.amplitudes))
-                for p in points
-            )
+            spectrum = simultaneous_spectrum(h, build_total_sz(n))
+            vectors = np.array([spectrum.vector(i).amplitudes for i in range(len(spectrum))]).T
+            rebuilt = (vectors * spectrum.energies) @ vectors.conj().T
             assert np.max(np.abs(rebuilt - dense_matrix(h))) < 1e-8
 
     def test_not_commuting(self):
@@ -87,19 +91,17 @@ class TestSimultaneousSpectrum:
 
     def test_multi_observable_refinement(self):
         h = build_heisenberg_chain(4)
-        points = simultaneous_spectrum_multi(h, [build_s_squared(4), build_total_sz(4)])
+        spectrum = simultaneous_spectrum_multi(h, [build_s_squared(4), build_total_sz(4)])
         ms2, msz = dense_matrix(build_s_squared(4)), dense_matrix(build_total_sz(4))
-        for p in points:
-            v = p.eigenvector.amplitudes
-            assert np.linalg.norm(ms2 @ v - p.charges[0] * v) < 1e-8
-            assert np.linalg.norm(msz @ v - p.charges[1] * v) < 1e-8
+        for i, (s2, sz) in enumerate(spectrum.charges.T):
+            v = spectrum.vector(i).amplitudes
+            assert np.linalg.norm(ms2 @ v - s2 * v) < 1e-8
+            assert np.linalg.norm(msz @ v - sz * v) < 1e-8
 
     def test_energy_order_with_charge_tiebreak(self):
-        points = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
-        energies = [p.energy for p in points]
-        assert energies == sorted(energies)
-        triplet = [p.charges[0] for p in points[1:]]
-        assert triplet == sorted(triplet)
+        spectrum = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
+        assert np.all(np.diff(spectrum.energies) >= 0)
+        assert np.all(np.diff(spectrum.charges[0, 1:]) >= 0)
         # random symmetric H with two observables: energies ascend, and inside
         # each energy cluster (the oracle's own tolerance) so do the charges
         rng = np.random.default_rng(8)
@@ -108,12 +110,34 @@ class TestSimultaneousSpectrum:
             h = random_symmetric_hamiltonian(rng, n)
             menu = observable_menu(n)
             picks = rng.choice(len(menu), size=2, replace=False)
-            points = simultaneous_spectrum_multi(h, [menu[i][1] for i in picks])
+            spectrum = simultaneous_spectrum_multi(h, [menu[i][1] for i in picks])
             tol = 1e-8 * max(1.0, coefficient_norm(h))
-            for a, b in zip(points, points[1:]):
-                assert a.energy <= b.energy
-                if b.energy - a.energy <= tol:
-                    assert a.charges <= b.charges
+            rows = list(zip(spectrum.energies, map(tuple, spectrum.charges.T)))
+            for (e_a, c_a), (e_b, c_b) in zip(rows, rows[1:]):
+                assert e_a <= e_b
+                if e_b - e_a <= tol:
+                    assert c_a <= c_b
+
+
+class TestLevels:
+    # near-ties on both sides of the 1e-8 level tolerance, and plain floats
+    values = st.lists(
+        st.sampled_from([0.0, 3e-9, 9e-9, 2.1e-8, 0.5, 0.5 + 1e-10]) | st.floats(-2.0, 2.0),
+        min_size=1,
+        max_size=24,
+    )
+
+    @PROPERTY
+    @given(values=values, offset=st.integers(0, 40))
+    def test_matches_a_neighbour_by_neighbour_loop(self, values, offset):
+        values = np.sort(np.array(values))
+        op = build_total_sz(2)  # coefficient norm 1: the tolerance is MATCH_TOL itself
+        expected, start = [], 0
+        for i in range(1, len(values) + 1):
+            if i == len(values) or values[i] - values[i - 1] > exactdiag.MATCH_TOL:
+                expected.append(slice(offset + start, offset + i))
+                start = i
+        assert exactdiag._levels(values, op, offset) == expected
 
 
 class TestRefinementResiduals:
@@ -121,12 +145,13 @@ class TestRefinementResiduals:
 
     @staticmethod
     def check(h, observables):
-        points = simultaneous_spectrum_multi(h, observables)
-        vectors = np.array([p.eigenvector.amplitudes for p in points]).T
-        assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(len(points)))) <= 1e-10
+        spectrum = simultaneous_spectrum_multi(h, observables)
+        vectors = np.array([spectrum.vector(i).amplitudes for i in range(len(spectrum))]).T
+        assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(len(spectrum)))) <= 1e-10
         mats = [dense_oracle(op) for op in (h, *observables)]
-        for p, v in zip(points, vectors.T):
-            for mat, value in zip(mats, (p.energy, *p.charges)):
+        values = np.vstack([spectrum.energies, spectrum.charges])
+        for v, column in zip(vectors.T, values.T):
+            for mat, value in zip(mats, column):
                 assert np.linalg.norm(mat @ v - value * v) <= 1e-8
 
     def test_random_symmetric_two_observables(self):
@@ -145,8 +170,8 @@ class TestRefinementResiduals:
         h, sz = build_heisenberg_chain(6), build_total_sz(6)
         # Sz splits every degenerate energy level of the chain into singletons,
         # so S^2 refines 64 one-vector clusters.
-        points = simultaneous_spectrum(h, sz)
-        pairs = [(p.energy, p.charges[0]) for p in points]
+        spectrum = simultaneous_spectrum(h, sz)
+        pairs = list(zip(spectrum.energies, spectrum.charges[0]))
         assert all(
             b[0] - a[0] > 1e-8 or b[1] - a[1] > 1e-8 for a, b in zip(pairs, pairs[1:])
         )
@@ -155,20 +180,37 @@ class TestRefinementResiduals:
 
 class TestSectorGround:
     def test_heisenberg_sector(self):
-        points = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
-        target = sector_ground_multi(points, (1.0,))
+        spectrum = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
+        target = sector_ground_multi(spectrum, (1.0,))
         assert target.energy == pytest.approx(0.25)
-        assert all(abs(p.charges[0] - 1.0) > 1e-8 for p in points[: target.index])
+        assert np.all(np.abs(spectrum.charges[0, : target.index] - 1.0) > 1e-8)
 
     def test_empty_sector(self):
-        points = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
+        spectrum = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
         with pytest.raises(EmptySector):
-            sector_ground_multi(points, (0.5,))
+            sector_ground_multi(spectrum, (0.5,))
 
     def test_global_ground_sector(self):
-        points = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
-        target = sector_ground_multi(points, (0.0,))
+        spectrum = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
+        target = sector_ground_multi(spectrum, (0.0,))
         assert target.index == 0
+
+    def test_target_count_must_match_observables(self):
+        h = build_heisenberg_chain(4)
+        spectrum = simultaneous_spectrum_multi(h, [build_total_sz(4), build_s_squared(4)])
+        assert sector_ground_multi(spectrum, (1.0, 2.0)).index == 3
+        # one charge short would match on Sz alone, one too many would ignore the 7
+        for targets in [(1.0,), (1.0, 2.0, 7.0), ()]:
+            with pytest.raises(ValueError, match="target charges"):
+                sector_ground_multi(spectrum, targets)
+            with pytest.raises(ValueError, match="target charges"):
+                in_sector(spectrum.charges, targets)
+
+    def test_in_sector_mask_and_single_state(self):
+        spectrum = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
+        assert in_sector(spectrum.charges, (0.0,)).tolist() == [True, False, True, False]
+        assert in_sector((1.0 + 1e-9,), (1.0,))
+        assert not in_sector((1.0 + 1e-7,), (1.0,))
 
 
 class TestMinDistinctGap:

@@ -188,8 +188,8 @@ class TestMinimize:
         assert summary.best_cost == pytest.approx(-0.75, abs=1e-6)
 
     def test_heisenberg_sector_task(self):
-        points = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
-        target = sector_ground_multi(points, (1.0,))
+        spectrum = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
+        target = sector_ground_multi(spectrum, (1.0,))
         spec = sector_spec()  # coefficient from the universal gap: (1)/(0.5^2)
         ansatz = AnsatzConfig(qubit_count=2, depth=1)
         records, summary = run_trials(spec, ansatz, OptimizerConfig(seed=5), 5)

@@ -6,6 +6,7 @@ from cvqe import (
     PauliTerm,
     PenaltyConstraint,
     SectorTarget,
+    Spectrum,
     build_heisenberg_chain,
     build_s_squared,
     build_total_sz,
@@ -20,37 +21,42 @@ from cvqe import (
     vqd_beta_estimates,
 )
 from cvqe.errors import InconsistentTarget, InvalidEstimate, NotCommuting
-from cvqe.exactdiag import SpectrumPoint
-from cvqe.simulator import basis_state
 from helpers import observable_menu, random_symmetric_hamiltonian
 
 
-def point(charge, energy):
-    return SpectrumPoint(energy, (charge,), basis_state(0, 1))
+def toy_spectrum(charges, energies):
+    """A one-observable spectrum with the given charges and energies."""
+    vectors = np.eye(len(energies), dtype=complex)
+    return Spectrum(np.array(energies, float), np.array([charges], float), vectors)
+
+
+def plane(spectrum):
+    """The (charge, energy) pairs of a one-observable spectrum."""
+    return list(zip(spectrum.charges[0], spectrum.energies))
 
 
 class TestExactCoefficient:
     def test_two_level_toy(self):
-        points = [point(0.0, -2.0), point(1.0, -1.0)]
+        spectrum = toy_spectrum([0.0, 1.0], [-2.0, -1.0])
         target = SectorTarget((1.0,), 1, -1.0)
-        assert exact_coefficient(points, target) == pytest.approx(1.0)
+        assert exact_coefficient(spectrum, target) == pytest.approx(1.0)
 
     def test_ground_sector_is_zero(self):
-        points = [point(0.0, -2.0), point(1.0, -1.0)]
-        assert exact_coefficient(points, SectorTarget((0.0,), 0, -2.0)) == 0.0
+        spectrum = toy_spectrum([0.0, 1.0], [-2.0, -1.0])
+        assert exact_coefficient(spectrum, SectorTarget((0.0,), 0, -2.0)) == 0.0
 
     def test_inconsistent_target(self):
-        points = [point(1.0, -2.0), point(1.0, -1.0)]
+        spectrum = toy_spectrum([1.0, 1.0], [-2.0, -1.0])
         with pytest.raises(InconsistentTarget):
-            exact_coefficient(points, SectorTarget((1.0,), 1, -1.0))
+            exact_coefficient(spectrum, SectorTarget((1.0,), 1, -1.0))
 
     def test_never_exceeds_simple(self):
         h = build_heisenberg_chain(4)
         c = build_total_sz(4)
-        points = simultaneous_spectrum(h, c)
-        target = sector_ground_multi(points, (1.0,))
-        exact = exact_coefficient(points, target)
-        simple = simple_coefficient(target.energy, points[0].energy, 0.5)
+        spectrum = simultaneous_spectrum(h, c)
+        target = sector_ground_multi(spectrum, (1.0,))
+        exact = exact_coefficient(spectrum, target)
+        simple = simple_coefficient(target.energy, spectrum.energies[0], 0.5)
         assert 0 < exact <= simple
 
 
@@ -114,14 +120,14 @@ class TestOrderingChain:
             n = int(rng.integers(3, 6))
             h = random_symmetric_hamiltonian(rng, n)
             name, obs, universal_gap = observable_menu(n)[int(rng.integers(0, 3))]
-            points = simultaneous_spectrum(h, obs)
-            charges = sorted({round(p.charges[0], 6) for p in points})
+            spectrum = simultaneous_spectrum(h, obs)
+            charges = sorted({round(q, 6) for q in spectrum.charges[0].tolist()})
             c = float(charges[int(rng.integers(0, len(charges)))])
-            target = sector_ground_multi(points, (c,))
+            target = sector_ground_multi(spectrum, (c,))
             if target.index == 0:
                 continue
-            exact = exact_coefficient(points, target)
-            simple = simple_coefficient(target.energy, points[0].energy, universal_gap)
+            exact = exact_coefficient(spectrum, target)
+            simple = simple_coefficient(target.energy, spectrum.energies[0], universal_gap)
             rough = rough_coefficient(h, universal_gap)
             assert exact <= simple + 1e-12
             assert simple <= rough + 1e-12
@@ -136,41 +142,34 @@ class TestThresholdTightness:
             n = int(rng.integers(3, 6))
             h = random_symmetric_hamiltonian(rng, n)
             obs = build_total_sz(n)
-            points = simultaneous_spectrum(h, obs)
-            charges = sorted({round(p.charges[0], 6) for p in points})
+            spectrum = simultaneous_spectrum(h, obs)
+            charges = sorted({round(q, 6) for q in spectrum.charges[0].tolist()})
             c = float(charges[int(rng.integers(0, len(charges)))])
-            target = sector_ground_multi(points, (c,))
+            target = sector_ground_multi(spectrum, (c,))
             if target.index == 0:
                 continue
-            out.append((points, c, target))
+            out.append((spectrum, c, target))
         return out
 
     def test_slightly_above_threshold_attains_target(self):
-        for points, c, target in self._instances():
-            mu = exact_coefficient(points, target) * (1 + 1e-6)
-            value, index = minimize_operator_penalty(
-                [(p.charges[0], p.energy) for p in points], c, mu
-            )
+        for spectrum, c, target in self._instances():
+            mu = exact_coefficient(spectrum, target) * (1 + 1e-6)
+            value, index = minimize_operator_penalty(plane(spectrum), c, mu)
             assert value == pytest.approx(target.energy, abs=1e-9)
-            assert abs(points[index].charges[0] - c) < 1e-8
+            assert abs(spectrum.charges[0, index] - c) < 1e-8
 
     def test_below_threshold_escapes_sector(self):
-        for points, c, target in self._instances():
-            exact = exact_coefficient(points, target)
+        for spectrum, c, target in self._instances():
+            exact = exact_coefficient(spectrum, target)
             # shrinking below the threshold must strictly beat the target
             # whenever the defining max is achieved strictly
             mu = exact * 0.9
-            value, index = minimize_operator_penalty(
-                [(p.charges[0], p.energy) for p in points], c, mu
-            )
-            competitor_values = [
-                p.energy + mu * (p.charges[0] - c) ** 2
-                for p in points[: target.index]
-                if abs(p.charges[0] - c) > 1e-8
-            ]
+            value, index = minimize_operator_penalty(plane(spectrum), c, mu)
+            below = plane(spectrum)[: target.index]
+            competitor_values = [e + mu * (q - c) ** 2 for q, e in below if abs(q - c) > 1e-8]
             if min(competitor_values) < target.energy - 1e-12:
                 assert value < target.energy - 1e-12
-                assert abs(points[index].charges[0] - c) > 1e-8
+                assert abs(spectrum.charges[0, index] - c) > 1e-8
 
 
 class TestMultiConstraint:
@@ -202,26 +201,20 @@ class TestMultiConstraint:
         h = build_heisenberg_chain(4)
         obs = [build_s_squared(4), build_total_sz(4)]
         targets = (2.0, -1.0)
-        points = simultaneous_spectrum_multi(h, obs)
-        sector = sector_ground_multi(points, targets)
+        spectrum = simultaneous_spectrum_multi(h, obs)
+        sector = sector_ground_multi(spectrum, targets)
         constraints = []
         for observable, target in zip(obs, targets):
             gap = min_distinct_gap(observable)
-            mu = simple_coefficient(sector.energy, points[0].energy, gap)
+            mu = simple_coefficient(sector.energy, spectrum.energies[0], gap)
             constraints.append(PenaltyConstraint(observable, target, mu, gap))
         # exhaustive check over the simultaneous eigenbasis
-        values = [
-            p.energy
-            + sum(
-                k.coefficient * (charge - k.target) ** 2
-                for k, charge in zip(constraints, p.charges)
-            )
-            for p in points
-        ]
-        best = int(np.argmin(values))
-        assert all(
-            abs(c - t) < 1e-8 for c, t in zip(points[best].charges, targets)
+        values = spectrum.energies + sum(
+            k.coefficient * (charges - k.target) ** 2
+            for k, charges in zip(constraints, spectrum.charges)
         )
+        best = int(np.argmin(values))
+        assert np.all(np.abs(spectrum.charges[:, best] - targets) < 1e-8)
         assert values[best] == pytest.approx(sector.energy, abs=1e-9)
 
 
