@@ -32,6 +32,7 @@ from . import models
 from .costs import CostSpec, PenaltyForm, pauli_ops_per_eval
 from .envelope import (
     Classification,
+    EnvelopePoint,
     TangentCase,
     classify_target,
     hull_energy_at,
@@ -41,7 +42,7 @@ from .envelope import (
     noisy_tangent_first_order,
     tangent_closed_form,
 )
-from .errors import InvalidEstimate, OracleError, ParseError
+from .errors import OracleError, ParseError
 from .exactdiag import (
     SectorTarget,
     Spectrum,
@@ -129,6 +130,16 @@ def _numbers(value, name: str) -> list[float]:
     return [float(v) for v in value]
 
 
+def _ce_estimates(values: list[float], name: str) -> tuple[float, float]:
+    """An ``E_target,E_ground`` pair; any other count, or a target below the
+    ground, is a config error naming ``name``."""
+    if len(values) != 2:
+        raise ConfigError(f"{name} needs E_target,E_ground, got {values}")
+    if values[0] < values[1]:
+        raise ConfigError(f"{name} has E_target {values[0]} below E_ground {values[1]}")
+    return tuple(values)
+
+
 def _parse_constraint(text: str) -> ConstraintRequest:
     head, _, policy_text = text.partition(":mu=")
     source, eq, target_text = head.rpartition("=")
@@ -143,9 +154,8 @@ def _parse_constraint(text: str) -> ConstraintRequest:
             if not (inline.startswith("(") and inline.endswith(")")):
                 raise ConfigError(f"bad auto-ce arguments in {text!r}")
             estimates = _numbers(inline[1:-1], f"constraint {text!r}: each auto-ce estimate")
-            if len(estimates) != 2:
-                raise ConfigError(f"bad auto-ce arguments in {text!r}")
-            return ConstraintRequest(source, target, "auto-ce", ce_estimates=tuple(estimates))
+            estimates = _ce_estimates(estimates, f"auto-ce in constraint {text!r}")
+            return ConstraintRequest(source, target, "auto-ce", ce_estimates=estimates)
         return ConstraintRequest(source, target, "auto-ce")
     if policy_text in _MU_POLICIES:
         return ConstraintRequest(source, target, policy_text)
@@ -181,9 +191,9 @@ def _constraint_request(entry) -> ConstraintRequest:
     policy = str(entry.get("mu", "auto-simple"))
     if policy in _MU_POLICIES:
         ce = entry.get("ce_estimates")
-        return ConstraintRequest(
-            source, target, policy, ce_estimates=tuple(ce) if ce else None
-        )
+        if ce is not None:
+            ce = _ce_estimates([float(v) for v in ce], "constraint key 'ce_estimates'")
+        return ConstraintRequest(source, target, policy, ce_estimates=ce)
     return _parse_constraint(f"{source}={target}:mu={policy}")
 
 
@@ -229,15 +239,15 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     config.mu_values = _numbers(config.mu_values, "each --mu-values entry")
     if config.ce_estimates is not None:
         estimates = _numbers(config.ce_estimates, "each --ce-estimates entry")
-        if len(estimates) != 2:
-            raise ConfigError(f"--ce-estimates needs E_target,E_ground, got {estimates}")
-        config.ce_estimates = tuple(estimates)
+        name = "--ce-estimates (config key 'ce_estimates')"
+        config.ce_estimates = _ce_estimates(estimates, name)
     for mu in config.mu_values:
         if mu < 0:
             raise ConfigError(f"--mu-values (config key 'mu_values') must be >= 0, got {mu}")
     for key, name, low in (
         ("seeds", "--seeds", 1),
         ("depth", "--depth", 0),
+        ("master_seed", "--master-seed", 0),
         ("max_iterations", "config key 'max_iterations'", 1),
         ("retry_on_miss", "config key 'retry_on_miss'", 0),
     ):
@@ -346,10 +356,7 @@ class Workspace:
             estimates = request.ce_estimates or self.config.ce_estimates
             if estimates is None:
                 raise ConfigError("auto-ce needs estimates: mu=auto-ce(E_t,E_0) or ce_estimates")
-            try:
-                return simple_coefficient(estimates[0], estimates[1], self.min_gap(index))
-            except InvalidEstimate as exc:
-                raise ConfigError(str(exc)) from exc
+            return simple_coefficient(estimates[0], estimates[1], self.min_gap(index))
         if request.policy == "auto-simple":
             e_ground = float(self.spectrum.energies[0])
             return simple_coefficient(self.target.energy, e_ground, self.min_gap(index))
@@ -608,10 +615,9 @@ def _resolve_betas(workspace: Workspace, count: int) -> list[float]:
         estimates = workspace.config.ce_estimates
         if estimates is None:
             raise ConfigError("beta auto-ce needs ce_estimates")
-        try:
-            beta, _ = vqd_beta_estimates(workspace.hamiltonian, estimates[0], estimates[1])
-        except InvalidEstimate as exc:
-            raise ConfigError(str(exc)) from exc
+        beta, _ = vqd_beta_estimates(workspace.hamiltonian, estimates[0], estimates[1])
+        if not 0 < beta < math.inf:
+            raise ConfigError(f"--beta auto-ce needs a finite weight > 0, got {beta}")
         return [beta] * count
     values = _numbers(text, "each --beta entry")
     if not values or min(values) <= 0:
@@ -662,15 +668,15 @@ def cmd_envelope(config: ExperimentConfig) -> tuple[list, list]:
             raise ConfigError(f"envelope needs --mu-values (config key 'mu_values') > 0, got {mu}")
     workspace = Workspace(config)
     spectrum = workspace.spectrum
-    # The first constraint defines the (charge, energy) plane.
-    plane = list(zip(spectrum.charges[0].tolist(), spectrum.energies.tolist()))
+    # The first constraint defines the (charge, energy) plane: one hull, and
+    # the sector ground as a point at its own spectrum charge.
+    charges = spectrum.charges[0]
+    hull = lower_hull(zip(charges.tolist(), spectrum.energies.tolist()))
     target_charge = workspace.targets[0]
-    target = workspace.target
-    e_target = target.energy
-    classification = classify_target(plane, target_charge, e_target)
-    hull = lower_hull(plane)
-    # measured at the target's own spectrum charge, not the requested one
-    clearance = e_target - hull_energy_at(hull, plane[target.index][0])
+    e_target = workspace.target.energy
+    target = EnvelopePoint(float(charges[workspace.target.index]), e_target)
+    classification = classify_target(hull, target)
+    clearance = e_target - hull_energy_at(hull, target.charge)
     noise_p = config.noise_p
     trace_h = workspace.hamiltonian.identity_coefficient
     trace_c = workspace.observables[0].identity_coefficient
@@ -714,16 +720,16 @@ def cmd_envelope(config: ExperimentConfig) -> tuple[list, list]:
         for vertex in hull
     ]
     for mu in config.mu_values:
-        relax = minimize_expectation_penalty(plane, target_charge, mu)
+        relax = minimize_expectation_penalty(hull, target_charge, mu)
         cells = dict(mu=mu, f_min=relax.f_min, c_t=relax.c_opt, e_t=relax.e_opt)
         if noise_p:
             noisy = noisy_expectation_penalty_minimum(
-                plane, target_charge, mu, noise_p, trace_h, trace_c
+                hull, target_charge, mu, noise_p, trace_h, trace_c
             )
             cells["f_min_noisy"] = noisy.f_min
         rows.append(make_row("f_min", **cells))
         if classification is Classification.BOUNDARY:
-            tangent = tangent_closed_form(plane, target_charge, e_target, mu)
+            tangent = tangent_closed_form(hull, target, target_charge, mu)
             cells = dict(
                 mu=mu,
                 f_min=tangent.f_min,

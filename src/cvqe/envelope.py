@@ -22,21 +22,25 @@ parabola; the exact noisy minimum reduces to the noiseless minimizer with
 transformed (c, mu), and the first-order shifts in p are available in
 closed form.
 
+The cloud is read once, by :func:`lower_hull`: every other expectation-form
+function takes the ``list[EnvelopePoint]`` hull it returns, and the target
+as its own spectrum point (the caller's sector ground).  Only
+:func:`minimize_operator_penalty` reads the cloud, since the operator form
+sees every eigenstate.
+
 One tolerance, :data:`PLANE_TOL`, decides every "same point" question of
 the hull geometry: charges collapsed into one hull column, a target clamped
-onto the hull's ends, on the hull or not, and at a vertex or not.  Whether
-a spectrum charge is the target's charge is the oracle's question
-(:func:`cvqe.exactdiag.in_sector`), so spectrum and envelope agree on it.
+onto the hull's ends, on the hull or not, and at a vertex or not.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .errors import InvalidProbability, NotBoundary, TargetNotInCloud
-from .exactdiag import in_sector
+from .errors import NotBoundary
+from .simulator import NoiseModel
 
 PLANE_TOL = 1e-9
 
@@ -54,7 +58,6 @@ class Classification(enum.Enum):
 class TangentCase(enum.Enum):
     BOUNDARY_TANGENT = "boundary_tangent"
     BOUNDARY_VERTEX = "boundary_vertex"
-    INTERIOR = "interior"
 
 
 @dataclass(frozen=True)
@@ -81,19 +84,16 @@ class OperatorPenaltyMinimum(NamedTuple):
     index: int
 
 
-def as_points(points) -> list[EnvelopePoint]:
-    """``(charge, energy)`` pairs as :class:`EnvelopePoint` s."""
-    return [EnvelopePoint(float(c), float(e)) for c, e in points]
-
-
 def lower_hull(points) -> list[EnvelopePoint]:
-    """Vertices of the lower convex boundary, sorted by ascending charge.
+    """Vertices of the lower convex boundary of a ``(charge, energy)`` cloud,
+    sorted by ascending charge: the hull every other plane function takes.
 
     Charges within :data:`PLANE_TOL` are collapsed to their minimum-energy
-    representative (vertical degeneracy carries no envelope information).
-    Collinear interior points are removed.
+    representative (vertical degeneracy carries no envelope information), so
+    adjacent vertices are more than :data:`PLANE_TOL` apart.  Collinear
+    interior points are removed.
     """
-    pts = sorted(as_points(points))
+    pts = sorted(EnvelopePoint(float(c), float(e)) for c, e in points)
     if not pts:
         raise ValueError("need at least one point")
     collapsed = [pts[0]]
@@ -119,7 +119,7 @@ def lower_hull(points) -> list[EnvelopePoint]:
 
 
 def hull_energy_at(hull: list[EnvelopePoint], charge: float) -> float:
-    """Piecewise-linear lower-envelope energy at the given charge.
+    """Piecewise-linear energy of a :func:`lower_hull` hull at the given charge.
 
     Charges within :data:`PLANE_TOL` of the hull ends are clamped
     (eigensolver jitter can put an exact sector label marginally outside
@@ -130,27 +130,15 @@ def hull_energy_at(hull: list[EnvelopePoint], charge: float) -> float:
     charge = min(max(charge, hull[0].charge), hull[-1].charge)
     for a, b in zip(hull, hull[1:]):
         if charge <= b.charge:
-            if b.charge == a.charge:
-                return min(a.energy, b.energy)
             w = (charge - a.charge) / (b.charge - a.charge)
             return (1 - w) * a.energy + w * b.energy
     return hull[-1].energy
 
 
-def _target_point(pts: list[EnvelopePoint], c: float, e_target: float) -> EnvelopePoint:
-    """The first point whose charge matches ``c`` (:func:`~cvqe.exactdiag.in_sector`)
-    and whose energy is within :data:`PLANE_TOL` of ``e_target``."""
-    for p in pts:
-        if in_sector((p.charge,), (c,)) and abs(p.energy - e_target) <= PLANE_TOL:
-            return p
-    raise TargetNotInCloud(f"({c}, {e_target}) is not a spectrum point")
-
-
-def classify_target(points, c: float, e_target: float) -> Classification:
-    """Boundary iff the target's spectrum point lies on the lower hull within :data:`PLANE_TOL`."""
-    pts = as_points(points)
-    target = _target_point(pts, c, e_target)
-    if e_target <= hull_energy_at(lower_hull(pts), target.charge) + PLANE_TOL:
+def classify_target(hull: list[EnvelopePoint], target: EnvelopePoint) -> Classification:
+    """Boundary iff the target's spectrum point lies on the :func:`lower_hull`
+    hull within :data:`PLANE_TOL`."""
+    if target.energy <= hull_energy_at(hull, target.charge) + PLANE_TOL:
         return Classification.BOUNDARY
     return Classification.INTERIOR
 
@@ -159,24 +147,24 @@ def minimize_operator_penalty(points, c: float, mu: float) -> OperatorPenaltyMin
     """Minimum of sum_i w_i (E_i + mu (C_i - c)^2) over the weight simplex.
 
     The objective is linear in the weights, so the minimum sits on a
-    vertex: simply the best single spectrum point.
+    vertex: simply the best single spectrum point of the cloud.
     """
-    pts = as_points(points)
-    values = [p.energy + mu * (p.charge - c) ** 2 for p in pts]
+    values = [float(e) + mu * (float(q) - c) ** 2 for q, e in points]
     index = min(range(len(values)), key=values.__getitem__)
     return OperatorPenaltyMinimum(float(values[index]), index)
 
 
-def minimize_expectation_penalty(points, c: float, mu: float) -> RelaxationMinimum:
+def minimize_expectation_penalty(
+    hull: list[EnvelopePoint], c: float, mu: float
+) -> RelaxationMinimum:
     """Global minimum of <E> + mu (<C> - c)^2 over spectrum-point mixtures.
 
     The objective depends on the weights only through (<C>, <E>), so it
-    reduces to minimizing E_hull(C) + mu (C - c)^2 along the lower hull:
-    per-edge closed form, vertex comparison.
+    reduces to minimizing E_hull(C) + mu (C - c)^2 along the
+    :func:`lower_hull` hull: per-edge closed form, vertex comparison.
     """
     if mu <= 0:
         raise ValueError("penalty weight must be positive")
-    hull = lower_hull(points)
     if len(hull) == 1:
         p = hull[0]
         value = p.energy + mu * (p.charge - c) ** 2
@@ -200,24 +188,25 @@ def minimize_expectation_penalty(points, c: float, mu: float) -> RelaxationMinim
     return best
 
 
-def tangent_closed_form(points, c: float, e_target: float, mu: float) -> TangentResult:
+def tangent_closed_form(
+    hull: list[EnvelopePoint], target: EnvelopePoint, c: float, mu: float
+) -> TangentResult:
     """Closed-form parabola/hull tangency for a boundary target.
 
-    The target sits at its own spectrum charge c0, which may differ from the
-    parabola centre ``c`` by up to :data:`~cvqe.exactdiag.MATCH_TOL`.  When
-    the tangency lands inside the downhill edge of slope ``alpha`` adjacent to
-    c0, the minimum is ``E_target + alpha (c - c0) - alpha^2/(4 mu)``; when the
-    parabola pins a vertex instead (small weight, or the target itself when
-    it is the hull bottom), the exact relaxation minimum is returned with case
+    ``hull`` is the :func:`lower_hull` hull.  The target sits at its own
+    spectrum charge c0, which may differ from the parabola centre ``c`` by up
+    to :data:`~cvqe.exactdiag.MATCH_TOL`.  When the tangency lands inside the
+    downhill edge of slope ``alpha`` adjacent to c0, the minimum is
+    ``E_target + alpha (c - c0) - alpha^2/(4 mu)``; when the parabola pins a
+    vertex instead (small weight, or the target itself when it is the hull
+    bottom), the exact relaxation minimum is returned with case
     BOUNDARY_VERTEX, or BOUNDARY_TANGENT on a flat bottom edge.
     """
     if mu <= 0:
         raise ValueError("penalty weight must be positive")
-    if classify_target(points, c, e_target) is not Classification.BOUNDARY:
-        raise NotBoundary(f"target ({c}, {e_target}) is interior to the envelope")
-    pts = as_points(points)
-    c0 = _target_point(pts, c, e_target).charge
-    hull = lower_hull(pts)
+    if classify_target(hull, target) is not Classification.BOUNDARY:
+        raise NotBoundary(f"target {tuple(target)} is interior to the envelope")
+    c0, e_target = target
 
     # The hull edges on either side of c0: two at a vertex, one edge twice inside it.
     k = next((k for k, p in enumerate(hull) if abs(p.charge - c0) <= PLANE_TOL), None)
@@ -252,7 +241,7 @@ def tangent_closed_form(points, c: float, e_target: float, mu: float) -> Tangent
                 case=TangentCase.BOUNDARY_TANGENT,
             )
         case = TangentCase.BOUNDARY_VERTEX
-    exact = minimize_expectation_penalty(pts, c, mu)
+    exact = minimize_expectation_penalty(hull, c, mu)
     return TangentResult(exact.c_opt, exact.e_opt, exact.f_min, float(alpha), case)
 
 
@@ -260,34 +249,26 @@ def _slope(a: EnvelopePoint, b: EnvelopePoint) -> float:
     return (b.energy - a.energy) / (b.charge - a.charge)
 
 
-class NoisyMinimum(NamedTuple):
-    f_min: float
-    c_t: float
-    e_t: float
-
-
 def noisy_expectation_penalty_minimum(
-    points,
+    hull: list[EnvelopePoint],
     c: float,
     mu: float,
     p: float,
     trace_h_over_dim: float,
     trace_c_over_dim: float,
-) -> NoisyMinimum:
+) -> RelaxationMinimum:
     """Exact minimum of the depolarized squared-expectation cost.
 
     With moments taken in the depolarized state, the objective regroups to
     ``(1-p) [E_hull(C) + mu (1-p) (C - c_eff)^2] + p tr(H)/2^n`` with
     ``c_eff = (c - p tr(C)/2^n) / (1-p)``, i.e. the noiseless minimizer on
-    a transformed parabola.
+    a transformed parabola along the :func:`lower_hull` hull, whose mixture
+    (``c_opt``, ``e_opt``, ``support``) is returned with the noisy ``f_min``.
     """
-    if not 0.0 <= p < 1.0:
-        raise InvalidProbability(f"depolarizing probability {p} outside [0, 1)")
+    NoiseModel(p)  # owns the [0, 1) check
     c_eff = (c - p * trace_c_over_dim) / (1.0 - p)
-    shifted = minimize_expectation_penalty(points, c_eff, mu * (1.0 - p))
-    return NoisyMinimum(
-        (1.0 - p) * shifted.f_min + p * trace_h_over_dim, shifted.c_opt, shifted.e_opt
-    )
+    shifted = minimize_expectation_penalty(hull, c_eff, mu * (1.0 - p))
+    return replace(shifted, f_min=(1.0 - p) * shifted.f_min + p * trace_h_over_dim)
 
 
 def noisy_tangent_first_order(
@@ -305,8 +286,7 @@ def noisy_tangent_first_order(
     expectations).  The f_min shift is exact in p; the tangent-point shifts
     carry O(p^2) remainders against the exact noisy minimizer.
     """
-    if not 0.0 <= p < 1.0:
-        raise InvalidProbability(f"depolarizing probability {p} outside [0, 1)")
+    NoiseModel(p)  # owns the [0, 1) check
     if base.case is not TangentCase.BOUNDARY_TANGENT:
         raise NotBoundary("first-order shifts require an edge-tangent base result")
     alpha = base.alpha

@@ -61,10 +61,6 @@ class PenaltyFormError(ValueError):
     """A cost evaluator was invoked on a spec with the other penalty form."""
 
 
-class TargetNotInCloud(OracleError, LookupError):
-    """The requested (charge, energy) pair is not a spectrum point."""
-
-
 class NotBoundary(OracleError, ValueError):
     """Tangent analysis requires the target to lie on the lower envelope."""
 

@@ -50,7 +50,7 @@ from cvqe import (
     tangent_closed_form,
     vqd_beta_estimates,
 )
-from cvqe.envelope import hull_energy_at, lower_hull
+from cvqe.envelope import EnvelopePoint, hull_energy_at, lower_hull
 from cvqe.errors import ParseError
 from helpers import (
     dense_oracle,
@@ -113,7 +113,8 @@ def _boundary_instances(minimum: int = 20):
         if target.index == 0:
             continue
         plane = list(zip(spectrum.charges[0].tolist(), spectrum.energies.tolist()))
-        if classify_target(plane, c, target.energy) is not Classification.BOUNDARY:
+        point = EnvelopePoint(plane[target.index][0], target.energy)
+        if classify_target(lower_hull(plane), point) is not Classification.BOUNDARY:
             continue
         instances.append((h, universal_gap, spectrum, plane, c, target))
     return instances
@@ -137,22 +138,23 @@ def test_criterion_2_threshold_theorem():
 
 def test_criterion_3_deviation_law():
     """Squared-expectation undershoot is alpha^2/(4 mu) with log-log slope -1."""
-    toy = [(0.0, -2.0), (1.0, -1.0)]
-    cases = [(toy, 1.0, -1.0)]
+    toy = lower_hull([(0.0, -2.0), (1.0, -1.0)])
+    cases = [(toy, EnvelopePoint(1.0, -1.0), 1.0)]
     spectrum = simultaneous_spectrum(HEISENBERG4, build_total_sz(4))
-    plane = list(zip(spectrum.charges[0].tolist(), spectrum.energies.tolist()))
+    charges = spectrum.charges[0].tolist()
+    sz_hull = lower_hull(zip(charges, spectrum.energies.tolist()))
     for c in (2.0, -2.0):
         target = sector_ground_multi(spectrum, (c,))
-        cases.append((plane, c, target.energy))
+        cases.append((sz_hull, EnvelopePoint(charges[target.index], target.energy), c))
     mus = np.array([1.0, 10.0, 100.0, 1000.0])
-    for cloud, c, e_target in cases:
+    for hull, target, c in cases:
         deviations = []
         for mu in mus:
-            closed = tangent_closed_form(cloud, c, e_target, mu)
+            closed = tangent_closed_form(hull, target, c, mu)
             assert closed.case is TangentCase.BOUNDARY_TANGENT
-            exact = minimize_expectation_penalty(cloud, c, mu)
+            exact = minimize_expectation_penalty(hull, c, mu)
             assert closed.f_min == pytest.approx(exact.f_min, abs=1e-12)
-            deviation = e_target - exact.f_min
+            deviation = target.energy - exact.f_min
             assert deviation == pytest.approx(closed.alpha**2 / (4 * mu), abs=1e-9)
             deviations.append(deviation)
         slope = np.polyfit(np.log(mus), np.log(deviations), 1)[0]
@@ -167,17 +169,19 @@ def test_criterion_4_interior_target_failure():
     spectrum = simultaneous_spectrum(h, number_op)
     target = sector_ground_multi(spectrum, (1.0,))
     plane = list(zip(spectrum.charges[0].tolist(), spectrum.energies.tolist()))
-    assert classify_target(plane, 1.0, target.energy) is Classification.INTERIOR
-    clearance = target.energy - hull_energy_at(lower_hull(plane), 1.0)
+    hull = lower_hull(plane)
+    point = EnvelopePoint(plane[target.index][0], target.energy)
+    assert classify_target(hull, point) is Classification.INTERIOR
+    clearance = target.energy - hull_energy_at(hull, 1.0)
     assert clearance > 0
     sup_f_min = max(
-        minimize_expectation_penalty(plane, 1.0, mu).f_min
+        minimize_expectation_penalty(hull, 1.0, mu).f_min
         for mu in (1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
     )
     margin = target.energy - sup_f_min
     assert margin >= clearance - 1e-12
     # numerically stable: independent of input ordering to 1e-9
-    shuffled = plane[::-1]
+    shuffled = lower_hull(plane[::-1])
     sup_again = max(
         minimize_expectation_penalty(shuffled, 1.0, mu).f_min
         for mu in (1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
@@ -226,10 +230,10 @@ def test_criterion_5_noise_robustness():
         assert abs(revalued - clean_rec.best_cost) <= 1e-6
 
     # (c) first-order tangent shifts vs the exact noisy minimizer: O(p^2)
-    toy = [(0.0, -2.0), (1.0, -1.0)]
+    toy = lower_hull([(0.0, -2.0), (1.0, -1.0)])
     t_h, t_c = -1.5, 0.5
     mu = 2.0
-    base = tangent_closed_form(toy, 1.0, -1.0, mu)
+    base = tangent_closed_form(toy, EnvelopePoint(1.0, -1.0), 1.0, mu)
     probabilities = (1e-3, 2e-3, 4e-3)
     errors = []
     for prob in probabilities:
@@ -237,8 +241,8 @@ def test_criterion_5_noise_robustness():
         exact = noisy_expectation_penalty_minimum(toy, 1.0, mu, prob, t_h, t_c)
         errors.append(
             max(
-                abs(base.c_t + dc - exact.c_t),
-                abs(base.e_t + de - exact.e_t),
+                abs(base.c_t + dc - exact.c_opt),
+                abs(base.e_t + de - exact.e_opt),
                 abs(base.f_min + df - exact.f_min),
             )
         )

@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
+import cvqe.cli
+import cvqe.envelope
 from cvqe import build_heisenberg_chain, diagonal_hamiltonian, errors, serialize_pauli_sum
 from cvqe.cli import ConstraintRequest, ExperimentConfig, build_parser, load_config, main
 from helpers import count_square_builds
@@ -305,6 +307,27 @@ class TestEnvelope:
             assert float(row["f_min"]) == pytest.approx(expected, abs=1e-12)
             assert float(minima[mu]["f_min"]) == pytest.approx(expected, abs=1e-12)
 
+    def test_one_hull_per_command(self, tmp_path, monkeypatch):
+        # the cloud is read once; classification, minima and tangents take its hull
+        lower_hull = cvqe.envelope.lower_hull
+        calls = []
+
+        def counted(points):
+            calls.append(points)
+            return lower_hull(points)
+
+        for module in (cvqe.envelope, cvqe.cli):
+            monkeypatch.setattr(module, "lower_hull", counted)
+        args = [
+            "envelope",
+            "--hamiltonian", "builtin:heisenberg:4",
+            "--constraint", "sz=2",
+            "--mu-values", "1,10,100",
+            "--out", tmp_path / "env.csv",
+        ]  # fmt: skip
+        assert run_cli(args) == 0
+        assert len(calls) == 1
+
     def test_interior_target_detected(self, tmp_path, interior_file):
         out = tmp_path / "env.csv"
         args = [
@@ -554,7 +577,10 @@ class TestArgumentErrors:
          "negative_retry_on_miss_in_config", "oracle_limit_in_config", "match_tol_in_config",
          "sixty_three_qubits", "string_depth", "unknown_flag", "missing_subcommand",
          "negative_mu_values_scan", "negative_mu_values_envelope", "zero_mu_values_envelope",
-         "negative_beta", "zero_beta"],
+         "negative_beta", "zero_beta", "negative_master_seed",
+         "negative_master_seed_in_config", "inverted_ce_estimates",
+         "inverted_ce_estimates_in_config", "inverted_inline_auto_ce",
+         "inverted_ce_estimates_in_constraint", "equal_ce_estimates_for_beta"],
     )  # fmt: skip
     def test_bad_input_is_one_error_line(self, name, tmp_path, capsys):
         def config(stem, **fields):
@@ -640,6 +666,35 @@ class TestArgumentErrors:
             ),
             "negative_beta": (["vqd", *vqe[1:], "--beta", -1], "--beta"),
             "zero_beta": (["vqd", *vqe[1:], "--beta", 0], "--beta"),
+            # numpy's seed check names no flag
+            "negative_master_seed": (
+                [*vqe, "--master-seed", -1, "--seeds", 1, "--depth", 0], "--master-seed",
+            ),
+            "negative_master_seed_in_config": (
+                ["vqe", "--config", config("seed", master_seed=-1)], "--master-seed",
+            ),
+            # an estimate pair with E_target below E_ground, wherever it is given
+            "inverted_ce_estimates": (
+                [*vqe, "--constraint", "sz=1:mu=auto-ce", "--ce-estimates", "1,2"],
+                "--ce-estimates",
+            ),
+            "inverted_ce_estimates_in_config": (
+                ["vqe", "--config", config("pair", ce_estimates=[1, 2]),
+                 "--constraint", "sz=1:mu=auto-ce"],
+                "'ce_estimates'",
+            ),
+            "inverted_inline_auto_ce": (
+                [*vqe, "--constraint", "sz=1:mu=auto-ce(1,2)"], "auto-ce in constraint",
+            ),
+            "inverted_ce_estimates_in_constraint": (
+                ["vqe", "--config",
+                 config("ce_entry", constraints=[{**constraint, "ce_estimates": [1, 2]}])],
+                "'ce_estimates'",
+            ),
+            # equal estimates give a zero deflation weight
+            "equal_ce_estimates_for_beta": (
+                ["vqd", *vqe[1:], "--beta", "auto-ce", "--ce-estimates", "1,1"], "--beta",
+            ),
         }[name]
         try:
             code = run_cli(argv)  # an escaping exception fails the test with its traceback
@@ -662,6 +717,25 @@ class TestArgumentErrors:
         assert run_cli(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "reference" in err, err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["vqe", "--master-seed", "-1"], "--master-seed"),
+            (["vqe", "--constraint", "sz=1:mu=auto-ce", "--ce-estimates", "1,2"], "--ce-estimates"),
+            (["vqe", "--constraint", "sz=1:mu=auto-ce(1,2)"], "auto-ce"),
+            (["vqd", "--beta", "auto-ce", "--ce-estimates", "1,1"], "--beta"),
+        ],
+        ids=["master_seed", "ce_estimates", "inline_auto_ce", "auto_ce_beta"],
+    )
+    def test_bad_seed_or_estimates_fail_before_the_oracle(self, argv, named, monkeypatch, capsys):
+        def oracle(*args):
+            raise AssertionError("the oracle ran before the input was checked")
+
+        monkeypatch.setattr("cvqe.cli.simultaneous_spectrum_multi", oracle)
+        assert run_cli([*argv, "--hamiltonian", "builtin:heisenberg:2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
 
     @pytest.mark.parametrize(
         "argv",
@@ -792,7 +866,6 @@ class TestNamespace:
             "SingleEigenvalue": ValueError,
             "InconsistentTarget": ValueError,
             "NotBoundary": ValueError,
-            "TargetNotInCloud": LookupError,
             "NonFiniteCost": ArithmeticError,
         }
         assert {cls.__name__ for cls in errors.OracleError.__subclasses__()} == set(bases)

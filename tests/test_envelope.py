@@ -19,10 +19,22 @@ from cvqe import (
     tangent_closed_form,
 )
 from cvqe.envelope import EnvelopePoint, hull_energy_at
-from cvqe.errors import InvalidProbability, NotBoundary, TargetNotInCloud
+from cvqe.errors import InvalidProbability, NotBoundary
 from helpers import PROPERTY, brute_force_mixture_min, chord_envelope
 
 TOY = [(0.0, -2.0), (1.0, -1.0)]
+TOY_HULL = lower_hull(TOY)
+TOY_TARGET = EnvelopePoint(1.0, -1.0)
+# (1, -0.5) sits 1.5 above the hull vertex (1, -2)
+INTERIOR = [(0, 0), (2, 0), (1, -2), (1, -0.5)]
+
+
+def sector_plane(n: int, c: float):
+    """Heisenberg chain's Sz hull and its Sz = c sector ground at its own charge."""
+    spectrum = simultaneous_spectrum(build_heisenberg_chain(n), build_total_sz(n))
+    target = sector_ground_multi(spectrum, (c,))
+    hull = lower_hull(zip(spectrum.charges[0], spectrum.energies))
+    return hull, EnvelopePoint(float(spectrum.charges[0][target.index]), target.energy)
 
 
 # Integer-grid clouds: repeated charges, collinear runs and vertical ties are common.
@@ -50,10 +62,11 @@ class TestHullProperties:
     @given(GRID_CLOUDS)
     def test_classification_is_the_chord_envelope(self, cloud):
         pts = [(float(c), float(e)) for c, e in cloud]
+        hull = lower_hull(pts)
         for c, e in pts:
             on_envelope = e <= chord_envelope(pts, c) + 1e-12
             expected = Classification.BOUNDARY if on_envelope else Classification.INTERIOR
-            assert classify_target(pts, c, e) is expected
+            assert classify_target(hull, EnvelopePoint(c, e)) is expected
 
 
 class TestLowerHull:
@@ -93,28 +106,14 @@ class TestLowerHull:
 
 class TestClassifyTarget:
     def test_toy_vertex_is_boundary(self):
-        assert classify_target(TOY, 1.0, -1.0) is Classification.BOUNDARY
+        assert classify_target(TOY_HULL, TOY_TARGET) is Classification.BOUNDARY
 
     def test_interior_point(self):
-        pts = [(0, 0), (2, 0), (1, -2), (1, -0.5)]
-        assert classify_target(pts, 1.0, -0.5) is Classification.INTERIOR
+        target = EnvelopePoint(1.0, -0.5)
+        assert classify_target(lower_hull(INTERIOR), target) is Classification.INTERIOR
 
     def test_heisenberg_sector_is_boundary(self):
-        spectrum = simultaneous_spectrum(build_heisenberg_chain(2), build_total_sz(2))
-        target = sector_ground_multi(spectrum, (1.0,))
-        plane = list(zip(spectrum.charges[0], spectrum.energies))
-        assert classify_target(plane, 1.0, target.energy) is Classification.BOUNDARY
-
-    def test_target_not_in_cloud(self):
-        with pytest.raises(TargetNotInCloud):
-            classify_target(TOY, 0.5, 0.0)
-
-    def test_charge_matched_at_the_oracle_tolerance(self):
-        pts = [(-1 / 3, -1.0), (1 / 3, 1.0)]
-        # 3.3e-9 from the charge: a match for the oracle, so the point is found
-        assert classify_target(pts, 0.33333333, 1.0) is Classification.BOUNDARY
-        with pytest.raises(TargetNotInCloud):
-            classify_target(pts, 0.3333333, 1.0)  # 3.3e-8 away
+        assert classify_target(*sector_plane(2, 1.0)) is Classification.BOUNDARY
 
 
 class TestOperatorPenaltyRelaxation:
@@ -141,13 +140,13 @@ class TestOperatorPenaltyRelaxation:
 
 class TestExpectationPenaltyRelaxation:
     def test_toy_minimum(self):
-        result = minimize_expectation_penalty(TOY, 1.0, 1.0)
+        result = minimize_expectation_penalty(TOY_HULL, 1.0, 1.0)
         assert result.f_min == pytest.approx(-1.25)
         assert result.c_opt == pytest.approx(0.5)
 
     def test_large_weight_limit(self):
         mu = 1e9
-        result = minimize_expectation_penalty(TOY, 1.0, mu)
+        result = minimize_expectation_penalty(TOY_HULL, 1.0, mu)
         alpha = 1.0
         assert -1.0 - result.f_min == pytest.approx(alpha**2 / (4 * mu), rel=1e-6)
 
@@ -157,7 +156,7 @@ class TestExpectationPenaltyRelaxation:
             pts = [(float(c), float(e)) for c, e in rng.normal(size=(5, 2))]
             c = float(rng.normal())
             for mu in (0.1, 1.0, 10.0):
-                result = minimize_expectation_penalty(pts, c, mu)
+                result = minimize_expectation_penalty(lower_hull(pts), c, mu)
 
                 def objective(w):
                     cs = np.array([p[0] for p in pts])
@@ -168,7 +167,7 @@ class TestExpectationPenaltyRelaxation:
                 assert result.f_min == pytest.approx(oracle, abs=1e-9)
 
     def test_support_weights_reproduce_minimum(self):
-        result = minimize_expectation_penalty(TOY, 1.0, 1.0)
+        result = minimize_expectation_penalty(TOY_HULL, 1.0, 1.0)
         charge = sum(p.charge * w for p, w in result.support)
         energy = sum(p.energy * w for p, w in result.support)
         assert charge == pytest.approx(result.c_opt)
@@ -178,7 +177,7 @@ class TestExpectationPenaltyRelaxation:
 class TestTangentClosedForm:
     def test_arithmetic_example(self):
         pts = [(0.0, -2.0), (1.0, 0.0), (2.0, 5.0)]
-        result = tangent_closed_form(pts, 1.0, 0.0, 10.0)
+        result = tangent_closed_form(lower_hull(pts), EnvelopePoint(1.0, 0.0), 1.0, 10.0)
         assert result.case is TangentCase.BOUNDARY_TANGENT
         assert result.alpha == pytest.approx(2.0)
         assert (result.c_t, result.e_t) == (pytest.approx(0.9), pytest.approx(-0.2))
@@ -186,54 +185,49 @@ class TestTangentClosedForm:
 
     def test_flat_adjacent_edge(self):
         pts = [(0.0, -1.0), (1.0, -1.0), (2.0, 3.0)]
-        result = tangent_closed_form(pts, 1.0, -1.0, 2.0)
+        result = tangent_closed_form(lower_hull(pts), EnvelopePoint(1.0, -1.0), 1.0, 2.0)
         assert result.case is TangentCase.BOUNDARY_TANGENT
         assert result.alpha == 0.0
         assert (result.c_t, result.e_t, result.f_min) == (1.0, -1.0, -1.0)
 
     def test_toy_agrees_with_relaxation(self):
-        closed = tangent_closed_form(TOY, 1.0, -1.0, 1.0)
-        exact = minimize_expectation_penalty(TOY, 1.0, 1.0)
+        closed = tangent_closed_form(TOY_HULL, TOY_TARGET, 1.0, 1.0)
+        exact = minimize_expectation_penalty(TOY_HULL, 1.0, 1.0)
         assert closed.f_min == pytest.approx(exact.f_min, abs=1e-12)
         assert closed.c_t == pytest.approx(exact.c_opt, abs=1e-12)
 
     def test_vertex_pinned_at_small_weight(self):
-        result = tangent_closed_form(TOY, 1.0, -1.0, 0.3)
+        result = tangent_closed_form(TOY_HULL, TOY_TARGET, 1.0, 0.3)
         assert result.case is TangentCase.BOUNDARY_VERTEX
-        exact = minimize_expectation_penalty(TOY, 1.0, 0.3)
+        exact = minimize_expectation_penalty(TOY_HULL, 1.0, 0.3)
         assert result.f_min == pytest.approx(exact.f_min, abs=1e-12)
         assert result.c_t == pytest.approx(0.0)  # pinned on the far vertex
 
     def test_hull_bottom_vertex(self):
         pts = [(0.0, 1.0), (1.0, -2.0), (2.0, 1.5)]
-        result = tangent_closed_form(pts, 1.0, -2.0, 5.0)
+        result = tangent_closed_form(lower_hull(pts), EnvelopePoint(1.0, -2.0), 1.0, 5.0)
         assert result.case is TangentCase.BOUNDARY_VERTEX
         assert result.f_min == -2.0
 
     def test_interior_raises(self):
-        pts = [(0, 0), (2, 0), (1, -2), (1, -0.5)]
         with pytest.raises(NotBoundary):
-            tangent_closed_form(pts, 1.0, -0.5, 1.0)
+            tangent_closed_form(lower_hull(INTERIOR), EnvelopePoint(1.0, -0.5), 1.0, 1.0)
 
 
 class TestDeviationLaw:
     def test_deviation_exact_in_tangent_regime(self):
-        spectrum = simultaneous_spectrum(build_heisenberg_chain(4), build_total_sz(4))
-        plane = list(zip(spectrum.charges[0], spectrum.energies))
-        target = sector_ground_multi(spectrum, (2.0,))
+        hull, target = sector_plane(4, 2.0)
         for mu in (1.0, 10.0, 100.0, 1000.0):
-            result = tangent_closed_form(plane, 2.0, target.energy, mu)
+            result = tangent_closed_form(hull, target, 2.0, mu)
             assert result.case is TangentCase.BOUNDARY_TANGENT
-            deviation = target.energy - minimize_expectation_penalty(plane, 2.0, mu).f_min
+            deviation = target.energy - minimize_expectation_penalty(hull, 2.0, mu).f_min
             assert deviation == pytest.approx(result.alpha**2 / (4 * mu), abs=1e-12)
 
     def test_log_log_slope_is_minus_one(self):
-        spectrum = simultaneous_spectrum(build_heisenberg_chain(4), build_total_sz(4))
-        plane = list(zip(spectrum.charges[0], spectrum.energies))
-        target = sector_ground_multi(spectrum, (2.0,))
+        hull, target = sector_plane(4, 2.0)
         mus = np.array([1.0, 10.0, 100.0, 1000.0])
         devs = np.array(
-            [target.energy - minimize_expectation_penalty(plane, 2.0, m).f_min for m in mus]
+            [target.energy - minimize_expectation_penalty(hull, 2.0, m).f_min for m in mus]
         )
         slope = np.polyfit(np.log(mus), np.log(devs), 1)[0]
         assert slope == pytest.approx(-1.0, abs=1e-6)
@@ -241,17 +235,17 @@ class TestDeviationLaw:
     def test_f_min_monotone_and_bounded(self):
         prev = -np.inf
         for mu in (0.5, 1.0, 5.0, 50.0, 500.0):
-            f = minimize_expectation_penalty(TOY, 1.0, mu).f_min
+            f = minimize_expectation_penalty(TOY_HULL, 1.0, mu).f_min
             assert f >= prev - 1e-15
             assert f <= -1.0 + 1e-15
             prev = f
 
     def test_interior_never_reached(self):
-        pts = [(0, 0), (2, 0), (1, -2), (1, -0.5)]
-        clearance = -0.5 - hull_energy_at(lower_hull(pts), 1.0)
+        hull = lower_hull(INTERIOR)
+        clearance = -0.5 - hull_energy_at(hull, 1.0)
         assert clearance > 0
         sup = max(
-            minimize_expectation_penalty(pts, 1.0, mu).f_min
+            minimize_expectation_penalty(hull, 1.0, mu).f_min
             for mu in (1.0, 1e2, 1e4, 1e6)
         )
         assert sup <= -0.5 - clearance + 1e-9
@@ -260,19 +254,18 @@ class TestDeviationLaw:
 class TestNoisyAnalysis:
     def _toy_setup(self):
         # toy with nonzero traces: shift energies so trace(H)/dim != 0
-        pts = [(0.0, -2.0), (1.0, -1.0)]
         t_h = -1.5  # mean of the two energies (diagonal model)
         t_c = 0.5
-        return pts, t_h, t_c
+        return TOY_HULL, t_h, t_c
 
     def test_zero_probability_no_shift(self):
-        pts, t_h, t_c = self._toy_setup()
-        base = tangent_closed_form(pts, 1.0, -1.0, 1.0)
+        hull, t_h, t_c = self._toy_setup()
+        base = tangent_closed_form(hull, TOY_TARGET, 1.0, 1.0)
         shifts = noisy_tangent_first_order(base, 0.0, t_h, t_c, 1.0, -1.0, 1.0)
         assert shifts == (0.0, 0.0, 0.0)
 
     def test_traceless_case_reduces(self):
-        base = tangent_closed_form(TOY, 1.0, -1.0, 1.0)
+        base = tangent_closed_form(TOY_HULL, TOY_TARGET, 1.0, 1.0)
         p = 1e-3
         dc, de, df = noisy_tangent_first_order(base, p, 0.0, 0.0, 1.0, -1.0, 1.0)
         alpha = base.alpha
@@ -281,17 +274,17 @@ class TestNoisyAnalysis:
         assert df == pytest.approx(p * (alpha * 1.0 - (-1.0)))
 
     def test_first_order_matches_exact_to_second_order(self):
-        pts, t_h, t_c = self._toy_setup()
+        hull, t_h, t_c = self._toy_setup()
         # mu = 2 keeps the tangent point away from trace(C)/dim, where the
         # first-order formula happens to be exact
         mu = 2.0
-        base = tangent_closed_form(pts, 1.0, -1.0, mu)
+        base = tangent_closed_form(hull, TOY_TARGET, 1.0, mu)
         ratios = {"c": [], "e": [], "f": []}
         for p in (1e-3, 2e-3, 4e-3):
             dc, de, df = noisy_tangent_first_order(base, p, t_h, t_c, 1.0, -1.0, mu)
-            exact = noisy_expectation_penalty_minimum(pts, 1.0, mu, p, t_h, t_c)
-            ratios["c"].append(abs(base.c_t + dc - exact.c_t) / p**2)
-            ratios["e"].append(abs(base.e_t + de - exact.e_t) / p**2)
+            exact = noisy_expectation_penalty_minimum(hull, 1.0, mu, p, t_h, t_c)
+            ratios["c"].append(abs(base.c_t + dc - exact.c_opt) / p**2)
+            ratios["e"].append(abs(base.e_t + de - exact.e_opt) / p**2)
             ratios["f"].append(abs(base.f_min + df - exact.f_min) / p**2)
         # quadratic remainder: err/p^2 bounded by a common constant
         for key in ("c", "e"):
@@ -302,8 +295,8 @@ class TestNoisyAnalysis:
         assert max(ratios["f"]) < 1e-6
 
     def test_invalid_probability(self):
-        base = tangent_closed_form(TOY, 1.0, -1.0, 1.0)
+        base = tangent_closed_form(TOY_HULL, TOY_TARGET, 1.0, 1.0)
         with pytest.raises(InvalidProbability):
             noisy_tangent_first_order(base, 1.0, 0.0, 0.0, 1.0, -1.0, 1.0)
         with pytest.raises(InvalidProbability):
-            noisy_expectation_penalty_minimum(TOY, 1.0, 1.0, -0.2, 0.0, 0.0)
+            noisy_expectation_penalty_minimum(TOY_HULL, 1.0, 1.0, -0.2, 0.0, 0.0)

@@ -73,6 +73,17 @@ CASES = {
          "--mu-values", "1,10,100", "--noise-p", "0.05"],
         None,
     ),
+    "envelope_interior_noisy": (
+        ["envelope", "--hamiltonian", "builtin:heisenberg:4",
+         "--constraint", "sz=0", "--constraint", "s2=2",
+         "--mu-values", "0.1,10", "--noise-p", "0.05"],
+        None,
+    ),
+    "envelope_vertex_then_tangent": (
+        ["envelope", "--hamiltonian", "builtin:heisenberg:4", "--constraint", "sz=1",
+         "--mu-values", "0.01,0.3,30", "--noise-p", "0.05"],
+        None,
+    ),
     "spectrum_two_constraints": (
         ["spectrum", "--hamiltonian", "builtin:heisenberg:6",
          "--constraint", "sz=0", "--constraint", "s2=0"],
