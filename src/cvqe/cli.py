@@ -189,6 +189,8 @@ def _constraint_request(entry) -> ConstraintRequest:
     source = entry["observable"]
     target = float(entry["c"])
     policy = str(entry.get("mu", "auto-simple"))
+    if "ce_estimates" in entry and policy != "auto-ce":
+        raise ConfigError(f"constraint key 'ce_estimates' needs mu 'auto-ce', got mu {policy!r}")
     if policy in _MU_POLICIES:
         ce = entry.get("ce_estimates")
         if ce is not None:
@@ -356,7 +358,13 @@ class Workspace:
             estimates = request.ce_estimates or self.config.ce_estimates
             if estimates is None:
                 raise ConfigError("auto-ce needs estimates: mu=auto-ce(E_t,E_0) or ce_estimates")
-            return simple_coefficient(estimates[0], estimates[1], self.min_gap(index))
+            mu = simple_coefficient(estimates[0], estimates[1], self.min_gap(index))
+            if not math.isfinite(mu):
+                raise ConfigError(
+                    f"constraint '{request.source}={request.target:g}': auto-ce weight "
+                    f"from estimates {estimates} is {mu}, not finite"
+                )
+            return mu
         if request.policy == "auto-simple":
             e_ground = float(self.spectrum.energies[0])
             return simple_coefficient(self.target.energy, e_ground, self.min_gap(index))

@@ -13,7 +13,7 @@ sort, so every sum is Hermitian and deterministic to serialize.
 Each sum owns its one numeric form, :attr:`PauliSum.compiled`: one row of
 basis partners and one diagonal per distinct X-mask (bit ``k`` of an index
 is qubit ``k``), read by both the simulator's ``apply`` and the oracle's
-dense matrices.
+block matrices.
 """
 
 from __future__ import annotations

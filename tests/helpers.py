@@ -1,7 +1,8 @@
 """Shared oracles and generators for the test suite.
 
 Everything here is deliberately independent of the library's own fast
-paths: dense matrices are built with plain numpy kron chains, hulls are
+paths: dense matrices are built with plain numpy kron chains, spectra and
+gaps come from one full ``eigh`` of those matrices, hulls are
 checked by dominance properties, and simplex minima come from composition
 enumeration plus pairwise-transfer refinement.
 """
@@ -19,8 +20,10 @@ from cvqe import (
     build_s_squared,
     build_total_sz,
     build_z_parity,
+    coefficient_norm,
     square_shifted,
 )
+from cvqe.exactdiag import MATCH_TOL
 
 _I = np.eye(2, dtype=complex)
 _MATS = {
@@ -41,6 +44,53 @@ def dense_oracle(op: PauliSum) -> np.ndarray:
             mat = np.kron(mat, _MATS.get(axes.get(q), _I))
         out += term.coefficient * mat
     return out
+
+
+def dense_levels(values: np.ndarray, op: PauliSum, offset: int = 0) -> list[slice]:
+    """Slices of the levels of ascending eigenvalues of ``op``, by a plain loop.
+
+    Neighbours closer than ``MATCH_TOL * max(1, coefficient_norm(op))`` are
+    one level, the oracle's documented rule.
+    """
+    tol = MATCH_TOL * max(1.0, coefficient_norm(op))
+    levels, start = [], 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[i - 1] > tol:
+            levels.append(slice(offset + start, offset + i))
+            start = i
+    return levels
+
+
+def dense_spectrum(hamiltonian: PauliSum, observables):
+    """Energies and charges of H and commuting observables from one full ``eigh``.
+
+    The unblocked algorithm on Kronecker matrices: each observable is
+    projected into the energy eigenbasis, and every energy cluster
+    diagonalizes its block of it, inside the levels of the observables
+    before it.  Rows come in (energy cluster, charge tuple) order.
+    """
+    energies, vectors = np.linalg.eigh(dense_oracle(hamiltonian))
+    clusters = dense_levels(energies, hamiltonian)
+    charges = np.zeros((len(observables), len(energies)))
+    for k, obs in enumerate(observables):
+        projected = dense_oracle(obs) @ vectors
+        refined = []
+        for cluster in clusters:
+            sub = vectors[:, cluster]
+            values, rotation = np.linalg.eigh(sub.conj().T @ projected[:, cluster])
+            vectors[:, cluster] = sub @ rotation
+            charges[k, cluster] = values
+            refined += dense_levels(values, obs, offset=cluster.start)
+        clusters = refined
+    return energies, charges
+
+
+def dense_gap(observable: PauliSum) -> float | None:
+    """Smallest gap between the levels of the Kronecker matrix's ``eigvalsh``,
+    each level at its mean; None for a single level."""
+    values = np.linalg.eigvalsh(dense_oracle(observable))
+    means = [float(np.mean(values[s])) for s in dense_levels(values, observable)]
+    return float(min(np.diff(means))) if len(means) > 1 else None
 
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -580,7 +580,8 @@ class TestArgumentErrors:
          "negative_beta", "zero_beta", "negative_master_seed",
          "negative_master_seed_in_config", "inverted_ce_estimates",
          "inverted_ce_estimates_in_config", "inverted_inline_auto_ce",
-         "inverted_ce_estimates_in_constraint", "equal_ce_estimates_for_beta"],
+         "inverted_ce_estimates_in_constraint", "equal_ce_estimates_for_beta",
+         "non_finite_auto_ce_weight", "ce_estimates_with_explicit_mu"],
     )  # fmt: skip
     def test_bad_input_is_one_error_line(self, name, tmp_path, capsys):
         def config(stem, **fields):
@@ -694,6 +695,16 @@ class TestArgumentErrors:
             # equal estimates give a zero deflation weight
             "equal_ce_estimates_for_beta": (
                 ["vqd", *vqe[1:], "--beta", "auto-ce", "--ce-estimates", "1,1"], "--beta",
+            ),
+            # finite estimates whose difference overflows give an infinite weight
+            "non_finite_auto_ce_weight": (
+                [*vqe, "--constraint", "sz=1:mu=auto-ce(1e308,-1e308)"], "'sz=1': auto-ce",
+            ),
+            # estimates beside an explicit weight would be silently unused
+            "ce_estimates_with_explicit_mu": (
+                ["vqe", "--config", config("ce_mu", constraints=[
+                    {**constraint, "mu": "0.5", "ce_estimates": [1, 2]}])],
+                "'ce_estimates'",
             ),
         }[name]
         try:

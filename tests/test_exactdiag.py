@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,6 +16,7 @@ from cvqe import (
     build_transverse_field_ising,
     build_z_parity,
     coefficient_norm,
+    commutes,
     dense_matrix,
     min_distinct_gap,
     sector_ground_multi,
@@ -22,7 +25,17 @@ from cvqe import (
 )
 from cvqe.errors import EmptySector, NotCommuting, OracleTooLarge, SingleEigenvalue
 from cvqe.exactdiag import in_sector
-from helpers import PROPERTY, dense_oracle, observable_menu, random_symmetric_hamiltonian
+from cvqe.models import BUILTIN_HAMILTONIANS
+from helpers import (
+    PROPERTY,
+    dense_gap,
+    dense_levels,
+    dense_oracle,
+    dense_spectrum,
+    observable_menu,
+    pauli_sums,
+    random_symmetric_hamiltonian,
+)
 
 
 class TestDenseMatrix:
@@ -132,12 +145,7 @@ class TestLevels:
     def test_matches_a_neighbour_by_neighbour_loop(self, values, offset):
         values = np.sort(np.array(values))
         op = build_total_sz(2)  # coefficient norm 1: the tolerance is MATCH_TOL itself
-        expected, start = [], 0
-        for i in range(1, len(values) + 1):
-            if i == len(values) or values[i] - values[i - 1] > exactdiag.MATCH_TOL:
-                expected.append(slice(offset + start, offset + i))
-                start = i
-        assert exactdiag._levels(values, op, offset) == expected
+        assert exactdiag._levels(values, op, offset) == dense_levels(values, op, offset)
 
 
 class TestRefinementResiduals:
@@ -176,6 +184,90 @@ class TestRefinementResiduals:
             b[0] - a[0] > 1e-8 or b[1] - a[1] > 1e-8 for a, b in zip(pairs, pairs[1:])
         )
         self.check(h, [sz, build_s_squared(6)])
+
+
+def quantized(charges):
+    """Nearest multiples of 1/4: every menu observable's eigenvalues are."""
+    return np.round(4.0 * np.asarray(charges)) / 4.0
+
+
+def z_strings(rng, n):
+    """A random diagonal operator: a few Z strings with nonzero weights."""
+    terms = []
+    for _ in range(int(rng.integers(1, 2 * n + 1))):
+        support = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        terms.append(PauliTerm(float(rng.uniform(0.2, 2.0)), [(int(q), "Z") for q in support]))
+    return PauliSum(tuple(terms), n)
+
+
+class TestBlockedAgainstFullEigh:
+    """The blocked oracle against one full ``eigh`` of the Kronecker matrices."""
+
+    @staticmethod
+    def check(h, observables, blocks=None):
+        spectrum = simultaneous_spectrum_multi(h, observables)
+        energies, charges = dense_spectrum(h, observables)
+        assert np.max(np.abs(spectrum.energies - energies)) <= 1e-9
+        assert np.array_equal(quantized(spectrum.charges), quantized(charges))
+        # rows in (energy cluster, charge tuple) order
+        tol = exactdiag.MATCH_TOL * max(1.0, coefficient_norm(h))
+        rows = list(zip(spectrum.energies, map(tuple, quantized(spectrum.charges).T)))
+        for (e_a, c_a), (e_b, c_b) in zip(rows, rows[1:]):
+            assert e_a <= e_b
+            if e_b - e_a <= tol:
+                assert c_a <= c_b
+        if blocks is not None:
+            assert len(spectrum._blocks) == blocks
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), count=st.integers(0, 3))
+    def test_diagonal_hamiltonian_has_one_state_blocks(self, seed, n, count):
+        rng = np.random.default_rng(seed)
+        diagonal = [op for name, op, _ in observable_menu(n) if name != "s2"]
+        picks = rng.choice(len(diagonal), size=count, replace=False)
+        self.check(z_strings(rng, n), [diagonal[i] for i in picks], blocks=2**n)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_observable_links_join_hamiltonian_blocks(self, n):
+        # a diagonal H of Sz and the Z-parity is degenerate inside each
+        # Hamming weight, and S^2 mixes those states: the blocks are its weights
+        h = 0.7 * build_total_sz(n) + 0.3 * build_z_parity(n)
+        self.check(h, [build_s_squared(n)], blocks=n + 1)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+    def test_connected_hamiltonian_is_one_block(self, seed, n):
+        # an X field on every qubit links every basis state to its neighbours;
+        # even Z strings keep the X-parity a conserved charge
+        rng = np.random.default_rng(seed)
+        field = [PauliTerm(float(rng.uniform(0.2, 2.0)), ((q, "X"),)) for q in range(n)]
+        even = [t for t in z_strings(rng, n).terms if len(t.axes) % 2 == 0]
+        x_parity = PauliSum((PauliTerm(1.0, tuple((q, "X") for q in range(n))),), n)
+        self.check(PauliSum((*field, *even), n), [x_parity], blocks=1)
+
+    @pytest.mark.parametrize("model", ["heisenberg", "tfi"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_builtin_models_with_each_menu_observable(self, model, n):
+        h = BUILTIN_HAMILTONIANS[model](n)
+        menu = [op for _, op, _ in observable_menu(n) if commutes(h, op)]
+        assert menu  # Heisenberg conserves all four, the Ising chain its Z-parity
+        for obs in menu:
+            self.check(h, [obs])
+        self.check(h, menu)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), count=st.integers(1, 3))
+    def test_random_symmetric_hamiltonians(self, seed, n, count):
+        rng = np.random.default_rng(seed)
+        menu = observable_menu(n)
+        picks = rng.choice(len(menu), size=count, replace=False)
+        self.check(random_symmetric_hamiltonian(rng, n), [menu[i][1] for i in picks])
+
+    def test_heisenberg_ten_stores_only_its_blocks(self):
+        # Hamming-weight blocks hold sum_w C(10, w)^2 = C(20, 10) amplitudes, not 4^10
+        spectrum = simultaneous_spectrum(build_heisenberg_chain(10), build_total_sz(10))
+        assert len(spectrum._blocks) == 11
+        assert sum(vectors.size for _, vectors in spectrum._blocks) == 184_756
 
 
 class TestSectorGround:
@@ -229,6 +321,35 @@ class TestMinDistinctGap:
 
     def test_z_parity(self):
         assert min_distinct_gap(build_z_parity(3)) == pytest.approx(2.0)
+
+    def test_menu_matches_the_full_eigvalsh(self):
+        for n in range(1, 8):
+            for _, op, _ in observable_menu(n):
+                if dense_gap(op) is not None:
+                    assert abs(min_distinct_gap(op) - dense_gap(op)) <= 1e-12
+
+    @PROPERTY
+    @given(op=pauli_sums())
+    def test_random_sums_match_the_full_eigvalsh(self, op):
+        expected = dense_gap(op)
+        if expected is None:
+            with pytest.raises(SingleEigenvalue):
+                min_distinct_gap(op)
+        else:
+            assert abs(min_distinct_gap(op) - expected) <= 1e-12
+
+    def test_twelve_qubits_build_no_dense_matrix(self):
+        # S^2 splits by Hamming weight: its blocks hold C(24, 12) entries, 43 MB,
+        # where one dense 4^12 complex matrix would hold 268 MB
+        op = build_s_squared(12)
+        op.compiled  # built first: its groups belong to the operator, not to the gap
+        tracemalloc.start()
+        try:
+            assert min_distinct_gap(op) == pytest.approx(2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 4**12 / 4
 
     def test_identity_has_no_gap(self):
         with pytest.raises(SingleEigenvalue):

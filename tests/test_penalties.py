@@ -25,9 +25,12 @@ from helpers import observable_menu, random_symmetric_hamiltonian
 
 
 def toy_spectrum(charges, energies):
-    """A one-observable spectrum with the given charges and energies."""
-    vectors = np.eye(len(energies), dtype=complex)
-    return Spectrum(np.array(energies, float), np.array([charges], float), vectors)
+    """A one-observable spectrum with the given charges and energies, in one
+    block whose vectors are the basis states."""
+    size = len(energies)
+    block = (np.arange(size), np.eye(size, dtype=complex))
+    columns = np.stack([np.zeros(size, dtype=int), np.arange(size)], axis=1)
+    return Spectrum(np.array(energies, float), np.array([charges], float), (block,), columns)
 
 
 def plane(spectrum):
