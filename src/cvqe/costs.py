@@ -14,6 +14,9 @@ One formula, :func:`evaluate_cost`, serves both penalty forms::
   ``penalty_l = mu_l (m_l - c_l)^2``; the gradient's chain rule reads the
   ``m_l`` from the breakdown.  Building such a spec builds no square.
 
+:func:`adjoint_vector` gives the operator whose expectation has the cost's
+gradient, applied to the state, for the simulator's adjoint pass.
+
 Deflation terms ``beta_i |<psi_i|psi>|^2`` target excited states.  With a
 depolarizing noise model attached, Hamiltonian and constraint expectations
 go through the depolarized channel; overlap terms stay on the pure ansatz
@@ -133,6 +136,29 @@ def evaluate_cost(spec: CostSpec, state: StateVector) -> CostBreakdown:
     deflation = sum(beta * overlap_sq(prev, state) for prev, beta in spec.deflation)
     total = energy + sum(penalties) + deflation
     return CostBreakdown(total, energy, penalties, deflation, measured)
+
+
+def adjoint_vector(spec: CostSpec, state: StateVector, measured) -> np.ndarray:
+    """``lam = A psi``, where A's expectation has the cost's gradient at ``state``.
+
+    ``measured`` is ``evaluate_cost(spec, state).measured``.  The operator
+    form's A is ``H + sum_l mu_l (C_l - c_l)^2``, the square applied as
+    (C - c) twice; the expectation form's is ``H + sum_l 2 mu_l (m_l - c_l) C_l``.
+    Noise scales that part by (1 - p); deflation adds ``beta |psi_i><psi_i|``.
+    """
+    psi = state.amplitudes
+    lam = apply(spec.hamiltonian, psi)
+    for c, m in zip(spec.constraints, measured):
+        if spec.form is PenaltyForm.OPERATOR:
+            residual = apply(c.observable, psi) - c.target * psi
+            lam += c.coefficient * (apply(c.observable, residual) - c.target * residual)
+        else:
+            lam += 2.0 * c.coefficient * (m - c.target) * apply(c.observable, psi)
+    if spec.noise is not None:
+        lam *= 1.0 - spec.noise.p
+    for prev, beta in spec.deflation:
+        lam += beta * np.vdot(prev.amplitudes, psi) * prev.amplitudes
+    return lam
 
 
 def pauli_ops_per_eval(spec: CostSpec) -> int:

@@ -17,10 +17,11 @@ copies the three into its record, with the total Pauli-measurement count
 ``n_meas = evals * pauli_ops_per_eval(spec)`` as an exact integer identity;
 the minimizers themselves count nothing.
 
-A gradient prepares all its shifted states (2P, or 2P + 1 with the chain
-rule's base point) in one batched :func:`~cvqe.simulator.prepare` call.
-The ledger still counts one bundle per prepared row, so every count, and
-every gradient bit, is that of preparing the states one at a time.
+The ledger charges a shift-rule gradient the device's 2P bundles (2P + 1
+with the chain rule's base point), while the simulator computes the same
+gradient by one adjoint pass over a single prepared state.  A
+central-difference gradient prepares its 2P shifted states in one batched
+:func:`~cvqe.simulator.prepare` call and charges one bundle per row.
 """
 
 from __future__ import annotations
@@ -31,15 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import (
-    CostBreakdown,
     CostSpec,
     PenaltyForm,
+    adjoint_vector,
     evaluate_cost,
     pauli_ops_per_eval,
     squared_residual,
 )
 from .errors import NonFiniteCost, ParamCountMismatch
-from .simulator import AnsatzConfig, StateVector, prepare
+from .simulator import AnsatzConfig, StateVector, adjoint_gradient, prepare
 
 # Strong-Wolfe line search: sufficient-decrease and curvature constants, the
 # most doublings and bisections one search may take, and its narrowest bracket.
@@ -100,11 +101,16 @@ class CostEvaluator:
     """The ledger of one run: ``nfev``, ``n_grad_evals`` and ``evals``.
 
     ``value`` counts one in ``nfev`` and costs one bundle.  ``gradient``
-    counts one in ``n_grad_evals`` and measures its own bundles, never
+    counts one in ``n_grad_evals`` and charges its own bundles, never
     through ``value``: two per parameter, plus one base bundle for the
     squared-expectation form under the shift rule (the chain rule needs
-    the unshifted constraint expectations), all prepared in one batch.
-    ``evals`` counts every bundle, one per prepared state.
+    the unshifted constraint expectations).  ``evals`` counts every bundle.
+
+    Central differences prepare their 2P shifted states in one batch and
+    measure each.  The shift rule's gradient comes from one prepared state
+    and one adjoint pass (:func:`~cvqe.costs.adjoint_vector`, then
+    :func:`~cvqe.simulator.adjoint_gradient`); it is charged the bundles a
+    device would measure, so the counts do not depend on how it is computed.
     """
 
     def __init__(self, spec: CostSpec, ansatz: AnsatzConfig):
@@ -118,19 +124,15 @@ class CostEvaluator:
 
     def value(self, params) -> float:
         self.nfev += 1
-        return self._measure(prepare(self.ansatz, params)).total
+        return self._measure(prepare(self.ansatz, params))
 
-    def _measure(self, state: StateVector) -> CostBreakdown:
-        """One measurement bundle on a prepared state."""
+    def _measure(self, state: StateVector) -> float:
+        """One measurement bundle on a prepared state: its total cost."""
         self.evals += 1
-        breakdown = evaluate_cost(self.spec, state)
-        if not math.isfinite(breakdown.total):
-            raise NonFiniteCost(f"cost evaluated to {breakdown.total}")
-        return breakdown
-
-    def _measure_rows(self, rows) -> list[CostBreakdown]:
-        """One bundle per row of ``rows`` (B, P), all prepared in one call."""
-        return [self._measure(state) for state in prepare(self.ansatz, rows)]
+        total = evaluate_cost(self.spec, state).total
+        if not math.isfinite(total):
+            raise NonFiniteCost(f"cost evaluated to {total}")
+        return total
 
     def gradient(self, params, kind: str = "parameter_shift"):
         params = np.asarray(params, dtype=float)
@@ -142,30 +144,22 @@ class CostEvaluator:
             raise ValueError(f"unknown gradient kind {kind!r}")
         self.n_grad_evals += 1
         if kind == "central_difference":
-            plus, minus = _pairs(self._measure_rows(_shifted(params, _FD_STEP)))
-            return np.array([(p.total - m.total) / (2 * _FD_STEP) for p, m in zip(plus, minus)])
-        if self.spec.form is PenaltyForm.OPERATOR:
-            # The whole cost (deflation projectors included) is a single
-            # expectation of a fixed operator, so the shift rule applies to
-            # the full scalar.
-            plus, minus = _pairs(self._measure_rows(_shifted(params, np.pi / 2)))
-            return np.array([0.5 * (p.total - m.total) for p, m in zip(plus, minus)])
-        # Squared-expectation form: shift rule on <H>, the overlaps and each
-        # <C_l>, chained through d/dx mu (<C> - c)^2 = 2 mu (<C> - c) d<C>/dx.
-        # The unshifted base row rides in the same batch, first.
-        rows = np.vstack([params, _shifted(params, np.pi / 2)])
-        base, *shifted = self._measure_rows(rows)
-        grad = []
-        for plus, minus in zip(*_pairs(shifted)):
-            g = 0.5 * (plus.energy_part - minus.energy_part) + 0.5 * (
-                plus.deflation_part - minus.deflation_part
-            )
-            for constraint, at, c_p, c_m in zip(
-                self.spec.constraints, base.measured, plus.measured, minus.measured
-            ):
-                g += 2.0 * constraint.coefficient * (at - constraint.target) * 0.5 * (c_p - c_m)
-            grad.append(g)
-        return np.array(grad)
+            rows = prepare(self.ansatz, _shifted(params, _FD_STEP))
+            totals = [self._measure(state) for state in rows]
+            return np.array([(p - m) / (2 * _FD_STEP) for p, m in zip(totals[::2], totals[1::2])])
+        # The device runs the shift rule: 2P bundles, plus the f2 chain rule's
+        # base bundle.  The simulator gets the same gradient by one adjoint pass.
+        self.evals += 2 * params.size + (self.spec.form is PenaltyForm.EXPECTATION)
+        state = prepare(self.ansatz, params)
+        base = evaluate_cost(self.spec, state)
+        if not math.isfinite(base.total):
+            raise NonFiniteCost(f"cost evaluated to {base.total}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = adjoint_vector(self.spec, state, base.measured)
+            grad = adjoint_gradient(self.ansatz, params, state, lam)
+        if not np.isfinite(grad).all():
+            raise NonFiniteCost(f"gradient entry evaluated to {grad[~np.isfinite(grad)][0]}")
+        return grad
 
 
 def _shifted(params, step):
@@ -180,11 +174,6 @@ def _shifted(params, step):
     rows[2 * k, k] += step
     rows[2 * k + 1, k] = rows[2 * k, k] - 2 * step
     return rows
-
-
-def _pairs(measured):
-    """Split bundles measured on :func:`_shifted` rows into (plus, minus)."""
-    return measured[0::2], measured[1::2]
 
 
 def minimize(

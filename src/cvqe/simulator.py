@@ -15,7 +15,9 @@ Conventions (fixed so results reproduce bit-for-bit):
 
 :func:`prepare` takes one parameter vector or a (B, P) batch of them; a
 batch runs each fused gate over all B rows in one einsum, and every row
-equals its own single preparation bit for bit.
+equals its own single preparation bit for bit.  :func:`adjoint_gradient`
+differentiates ``<psi|A|psi>`` in every parameter by one backward sweep
+over the same gates.
 
 :func:`apply` computes ``O|psi>`` from the X-mask groups each operator
 compiles once (:attr:`cvqe.paulis.PauliSum.compiled`), and
@@ -125,7 +127,7 @@ def prepare(ansatz: AnsatzConfig, params) -> StateVector | list[StateVector]:
     batch, which returns its B states in row order.  A batch runs the same
     gates over every row at once, and each row comes out bit for bit equal
     to its own single ``prepare``; this is how the optimizer prepares all
-    the shifted states of one gradient in a single call.
+    the shifted states of one central-difference gradient in a single call.
 
     Each layer's R_Y and R_Z on one qubit are fused into a single 2x2
     unitary (R_Z R_Y, i.e. R_Y applied first); tests pin the result to a
@@ -157,6 +159,44 @@ def prepare(ansatz: AnsatzConfig, params) -> StateVector | list[StateVector]:
             amps = np.einsum("Bab,Bhbl->Bhal", gates[:, q], view).reshape(size, -1)
     states = [StateVector(row, n) for row in amps]
     return states[0] if params.ndim == 1 else states
+
+
+@lru_cache(maxsize=32)
+def _z_signs(n: int) -> np.ndarray:
+    """(n, 2^n): row q is the eigenvalue of Z_q on each basis state."""
+    return 1.0 - 2.0 * ((np.arange(2**n) >> np.arange(n)[:, None]) & 1)
+
+
+def adjoint_gradient(ansatz: AnsatzConfig, params, state: StateVector, lam) -> np.ndarray:
+    """``d<psi|A|psi>/dparams`` from ``state = prepare(ansatz, params)`` and ``lam = A psi``.
+
+    One backward sweep (Jones & Gacon, arXiv:2009.02823) un-applies each
+    column from psi and lam together.  A gate exp(i t G / 2) contributes
+    ``Re <lam|i G phi>`` at the state phi just after it: -Im<lam|Z_q phi>
+    for the R_Z's, then, with the R_Z's un-applied, Re<lam|iY_q phi>.
+    """
+    n = ansatz.qubit_count
+    params = np.asarray(params, dtype=float)
+    signs = _z_signs(n)
+    pair = np.stack([state.amplitudes, lam])
+    grad = np.empty(ansatz.parameter_count)
+    for layer in reversed(range(ansatz.depth + 1)):
+        ys = slice(2 * n * layer, 2 * n * layer + n)
+        zs = slice(ys.stop, ys.stop + n)
+        grad[zs] = -(signs @ (pair[1].conj() * pair[0])).imag
+        pair *= np.exp(-0.5j * (params[zs] @ signs))
+        cos, sin = np.cos(0.5 * params[ys]), np.sin(0.5 * params[ys])
+        for q in range(n):
+            view = pair.reshape(2, -1, 2, 2**q)
+            low, high = view[:, :, 0], view[:, :, 1]
+            grad[ys.start + q] = np.vdot(low[1], high[0]).real - np.vdot(high[1], low[0]).real
+            # un-apply R_Y = [[cos, sin], [-sin, cos]] on qubit q
+            unrotated = cos[q] * low - sin[q] * high
+            view[:, :, 1] = sin[q] * low + cos[q] * high
+            view[:, :, 0] = unrotated
+        if layer > 0:
+            pair *= _cz_chain_signs(n)  # the CZ chain is its own inverse
+    return grad
 
 
 def apply(op: PauliSum, amps: np.ndarray) -> np.ndarray:

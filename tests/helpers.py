@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the library's own fast
 paths: dense matrices are built with plain numpy kron chains, spectra and
 gaps come from one full ``eigh`` of those matrices, hulls are
-checked by dominance properties, and simplex minima come from composition
-enumeration plus pairwise-transfer refinement.
+checked by dominance properties, simplex minima come from composition
+enumeration plus pairwise-transfer refinement, and gradients from one
+``prepare`` and ``evaluate_cost`` per shifted state.
 """
 
 import sys
@@ -16,14 +17,18 @@ from hypothesis import strategies as st
 from cvqe import (
     PauliSum,
     PauliTerm,
+    PenaltyForm,
     build_number_operator,
     build_s_squared,
     build_total_sz,
     build_z_parity,
     coefficient_norm,
+    evaluate_cost,
+    prepare,
     square_shifted,
 )
 from cvqe.exactdiag import MATCH_TOL
+from cvqe.optimize import _FD_STEP, CostEvaluator
 
 _I = np.eye(2, dtype=complex)
 _MATS = {
@@ -83,6 +88,42 @@ def dense_spectrum(hamiltonian: PauliSum, observables):
             refined += dense_levels(values, obs, offset=cluster.start)
         clusters = refined
     return energies, charges
+
+
+def one_at_a_time_gradient(spec, ansatz, params, kind="parameter_shift"):
+    """The gradient rules with one ``prepare`` per shifted state, never through
+    :meth:`~cvqe.optimize.CostEvaluator.gradient`: the reference it must match.
+
+    The squared-expectation form's shift rule chains through each ``<C_l>``
+    at the unshifted point: d/dx mu (<C> - c)^2 = 2 mu (<C> - c) d<C>/dx.
+    """
+
+    def measure(x):
+        return evaluate_cost(spec, prepare(ansatz, x))
+
+    step = _FD_STEP if kind == "central_difference" else np.pi / 2
+    base = measure(params).measured
+    grad = np.empty_like(params)
+    for k in range(params.size):
+        shifted = params.copy()
+        shifted[k] += step
+        plus = measure(shifted)
+        shifted[k] -= 2 * step
+        minus = measure(shifted)
+        if kind == "central_difference":
+            grad[k] = (plus.total - minus.total) / (2 * step)
+        elif spec.form is PenaltyForm.OPERATOR:
+            grad[k] = 0.5 * (plus.total - minus.total)
+        else:
+            g = 0.5 * (plus.energy_part - minus.energy_part) + 0.5 * (
+                plus.deflation_part - minus.deflation_part
+            )
+            for constraint, at, c_p, c_m in zip(
+                spec.constraints, base, plus.measured, minus.measured
+            ):
+                g += 2.0 * constraint.coefficient * (at - constraint.target) * 0.5 * (c_p - c_m)
+            grad[k] = g
+    return grad
 
 
 def dense_gap(observable: PauliSum) -> float | None:
@@ -243,6 +284,25 @@ def chord_envelope(points, charge: float) -> float:
                 w = 0.0 if cj == ci else (charge - ci) / (cj - ci)
                 best = min(best, (1 - w) * ei + w * ej)
     return best
+
+
+def count_evaluator_calls(monkeypatch) -> dict:
+    """Count calls of ``CostEvaluator.value`` and ``.gradient`` outside its ledger.
+
+    Returns ``{"value": n, "gradient": n}``, which grows as the methods run.
+    """
+    calls = {"value": 0, "gradient": 0}
+
+    def counting(name, method):
+        def counted(self, *args, **kwargs):
+            calls[name] += 1
+            return method(self, *args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(CostEvaluator, name, counting(name, getattr(CostEvaluator, name)))
+    return calls
 
 
 def count_square_builds(monkeypatch) -> list:

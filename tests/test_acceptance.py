@@ -53,6 +53,7 @@ from cvqe import (
 from cvqe.envelope import EnvelopePoint, hull_energy_at, lower_hull
 from cvqe.errors import ParseError
 from helpers import (
+    count_evaluator_calls,
     dense_oracle,
     random_pauli_sum,
     random_state,
@@ -293,7 +294,7 @@ def test_criterion_6_vqe_vqd_against_oracle():
     )
 
 
-def test_criterion_7_measurement_accounting():
+def test_criterion_7_measurement_accounting(monkeypatch):
     """N_meas is an exact integer identity; expectation form measures fewer terms."""
     constraint = PenaltyConstraint(build_s_squared(4), 2.0, 1.0, 0.75)
     operator_spec = CostSpec(hamiltonian=HEISENBERG4, constraints=(constraint,))
@@ -302,29 +303,20 @@ def test_criterion_7_measurement_accounting():
     )
     assert pauli_ops_per_eval(expectation_spec) < pauli_ops_per_eval(operator_spec)
 
+    calls = count_evaluator_calls(monkeypatch)
+    ansatz = AnsatzConfig(qubit_count=4, depth=1)
     for spec in (operator_spec, expectation_spec):
-        bundles = {"n": 0}
-        original_prepare = optimize_module.prepare
-
-        def counting_prepare(ansatz, params):
-            # one bundle per prepared row: 1 for a vector, B for a (B, P) batch
-            bundles["n"] += len(np.array(params, ndmin=2))
-            return original_prepare(ansatz, params)
-
-        ansatz = AnsatzConfig(qubit_count=4, depth=1)
-        optimize_module.prepare = counting_prepare
-        try:
-            record = optimize_module.minimize(
-                spec,
-                ansatz,
-                OptimizerConfig(max_iterations=15),
-                np.full(ansatz.parameter_count, 0.3),
-            )
-        finally:
-            optimize_module.prepare = original_prepare
-        # one extra preparation computes the final-residual diagnostics and
-        # is deliberately outside the measurement budget
-        assert record.n_meas == (bundles["n"] - 1) * pauli_ops_per_eval(spec)
+        calls.update(value=0, gradient=0)
+        record = optimize_module.minimize(
+            spec, ansatz, OptimizerConfig(max_iterations=15), np.full(ansatz.parameter_count, 0.3)
+        )
+        # a device measures one bundle per value and the shift rule's 2P per
+        # gradient, plus the base bundle of the squared-expectation chain rule,
+        # whatever the simulator prepares to compute them
+        per_gradient = 2 * ansatz.parameter_count + (spec is expectation_spec)
+        assert calls["gradient"] > 0
+        units = calls["value"] + calls["gradient"] * per_gradient
+        assert record.n_meas == units * pauli_ops_per_eval(spec)
     report(7, "integer measurement identity holds for both penalty forms")
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cvqe.optimize as optimize_module
 from cvqe import (
@@ -23,6 +25,15 @@ from cvqe import (
 )
 from cvqe.errors import NonFiniteCost, ParamCountMismatch
 from cvqe.optimize import CostEvaluator, best_seed
+from cvqe.simulator import StateVector, expectation
+from helpers import (
+    PROPERTY,
+    count_evaluator_calls,
+    observable_menu,
+    one_at_a_time_gradient,
+    random_pauli_sum,
+    random_state,
+)
 
 Z0 = PauliSum((PauliTerm(1.0, ((0, "Z"),)),), 1)
 
@@ -85,45 +96,20 @@ class TestGradient:
             CostEvaluator(spec, AnsatzConfig(qubit_count=1, depth=0)).gradient(np.zeros(3))
 
 
-def one_at_a_time_gradient(spec, ansatz, params, kind):
-    """The gradient rules with one ``prepare`` per shifted state: the reference
-    the batched :meth:`CostEvaluator.gradient` must equal bit for bit."""
-
-    def measure(x):
-        return evaluate_cost(spec, prepare(ansatz, x))
-
-    step = optimize_module._FD_STEP if kind == "central_difference" else np.pi / 2
-    base = measure(params).measured
-    grad = np.empty_like(params)
-    for k in range(params.size):
-        shifted = params.copy()
-        shifted[k] += step
-        plus = measure(shifted)
-        shifted[k] -= 2 * step
-        minus = measure(shifted)
-        if kind == "central_difference":
-            grad[k] = (plus.total - minus.total) / (2 * step)
-        elif spec.form is PenaltyForm.OPERATOR:
-            grad[k] = 0.5 * (plus.total - minus.total)
-        else:
-            g = 0.5 * (plus.energy_part - minus.energy_part) + 0.5 * (
-                plus.deflation_part - minus.deflation_part
-            )
-            for constraint, at, c_p, c_m in zip(
-                spec.constraints, base, plus.measured, minus.measured
-            ):
-                g += 2.0 * constraint.coefficient * (at - constraint.target) * 0.5 * (c_p - c_m)
-            grad[k] = g
-    return grad
-
-
 GRADIENT_CASES = [
-    # form, rule, rows beyond the 2P shifted ones (the f2 chain rule's base row)
+    # form, rule, eval units beyond the 2P shifted ones (the f2 chain rule's base)
     (PenaltyForm.OPERATOR, "parameter_shift", 0),
     (PenaltyForm.EXPECTATION, "parameter_shift", 1),
     (PenaltyForm.OPERATOR, "central_difference", 0),
     (PenaltyForm.EXPECTATION, "central_difference", 0),
 ]
+
+
+def agree(got, want) -> bool:
+    """The adjoint's tolerance against the shift-rule reference."""
+    return np.max(np.abs(got - want), initial=0.0) <= 1e-10 * max(
+        1.0, np.max(np.abs(want), initial=0.0)
+    )
 
 
 class TestBatchedGradient:
@@ -139,12 +125,15 @@ class TestBatchedGradient:
         ansatz = AnsatzConfig(qubit_count=2, depth=1)
         evaluator = CostEvaluator(sector_spec(mu=2.0, form=form), ansatz)
         evaluator.gradient(np.full(ansatz.parameter_count, 0.3), kind)
-        rows = 2 * ansatz.parameter_count + extra
-        assert shapes == [(rows, ansatz.parameter_count)]
-        assert evaluator.evals == rows
+        size = ansatz.parameter_count
+        # the shift rule's adjoint prepares one state; differences prepare 2P
+        assert shapes == [(size,) if kind == "parameter_shift" else (2 * size, size)]
+        assert evaluator.evals == 2 * size + extra
 
     @pytest.mark.parametrize("form, kind, extra", GRADIENT_CASES)
     def test_equals_one_prepare_per_row_bit_for_bit(self, form, kind, extra):
+        # Central differences equal the one-at-a-time reference bit for bit;
+        # the shift rule's adjoint pass equals it to 1e-10.
         rng = np.random.default_rng(17)
         for n, depth in ((2, 1), (3, 2), (4, 1)):
             ansatz = AnsatzConfig(qubit_count=n, depth=depth)
@@ -160,7 +149,88 @@ class TestBatchedGradient:
             params = rng.uniform(0, 2 * np.pi, ansatz.parameter_count)
             got = CostEvaluator(spec, ansatz).gradient(params, kind)
             want = one_at_a_time_gradient(spec, ansatz, params, kind)
-            assert got.tobytes() == want.tobytes()
+            if kind == "central_difference":
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert agree(got, want)
+
+
+@st.composite
+def gradient_problems(draw, form):
+    """A random cost in ``form``, ansatz and parameter point for the adjoint property."""
+    n = draw(st.integers(1, 5))
+    ansatz = AnsatzConfig(qubit_count=n, depth=draw(st.integers(0, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    menu = observable_menu(n)
+    picks = [draw(st.integers(0, 3)) for _ in range(draw(st.integers(0, 2)))]
+    constraints = tuple(
+        PenaltyConstraint(obs, float(rng.normal()), float(rng.uniform(0.1, 5.0)), gap)
+        for _, obs, gap in (menu[i] for i in picks)
+    )
+    deflation = tuple(
+        (StateVector(random_state(rng, n), n), float(rng.uniform(0.1, 3.0)))
+        for _ in range(draw(st.integers(0, 2)))
+    )
+    noise = draw(st.sampled_from([None, NoiseModel(0.05), NoiseModel(0.4)]))
+    spec = CostSpec(
+        hamiltonian=random_pauli_sum(rng, n),
+        constraints=constraints,
+        form=form,
+        deflation=deflation,
+        noise=noise,
+    )
+    return spec, ansatz, rng.uniform(-2 * np.pi, 2 * np.pi, ansatz.parameter_count)
+
+
+class TestAdjointGradient:
+    @pytest.mark.parametrize("form", list(PenaltyForm))
+    @PROPERTY
+    @given(data=st.data())
+    def test_matches_the_shift_rule_reference(self, form, data):
+        spec, ansatz, params = data.draw(gradient_problems(form))
+        got = CostEvaluator(spec, ansatz).gradient(params)
+        assert agree(got, one_at_a_time_gradient(spec, ansatz, params))
+
+    @pytest.mark.parametrize("form", list(PenaltyForm))
+    def test_nan_parameter_raises(self, form):
+        ansatz = AnsatzConfig(qubit_count=2, depth=1)
+        params = np.full(ansatz.parameter_count, 0.3)
+        params[3] = np.nan
+        with pytest.raises(NonFiniteCost):
+            CostEvaluator(sector_spec(form=form), ansatz).gradient(params)
+
+    @pytest.mark.parametrize("form", list(PenaltyForm))
+    def test_huge_weight_reaches_non_finite_cost(self, form):
+        # At mu = 1e300 on heisenberg:2 the gradient is still finite and
+        # exact; its square in the BFGS slope is not.
+        ansatz = AnsatzConfig(qubit_count=2, depth=1)
+        spec = sector_spec(mu=1e300, form=form)
+        params = np.full(ansatz.parameter_count, 0.3)
+        got = CostEvaluator(spec, ansatz).gradient(params)
+        assert np.isfinite(got).all() and np.max(np.abs(got)) > 1e298
+        assert agree(got, one_at_a_time_gradient(spec, ansatz, params))
+        with pytest.raises(NonFiniteCost):
+            minimize(spec, ansatz, OptimizerConfig(), params)
+
+    @pytest.mark.parametrize("form", list(PenaltyForm))
+    def test_overflowing_cost_raises(self, form):
+        ansatz = AnsatzConfig(qubit_count=2, depth=1)
+        constraint = PenaltyConstraint(build_total_sz(2), 5.0, 1e308, 0.5)
+        spec = CostSpec(build_heisenberg_chain(2), (constraint,), form)
+        with pytest.raises(NonFiniteCost):
+            CostEvaluator(spec, ansatz).gradient(np.full(ansatz.parameter_count, 0.3))
+
+    def test_overflowing_gradient_of_a_finite_cost_raises(self):
+        # f2 at <Sz> - c = 1: the cost is about 1e308, its chain factor 2e308
+        ansatz = AnsatzConfig(qubit_count=2, depth=1)
+        params = np.full(ansatz.parameter_count, 0.3)
+        charge = expectation(build_total_sz(2), prepare(ansatz, params))
+        constraint = PenaltyConstraint(build_total_sz(2), charge - 1.0, 1e308, 0.5)
+        spec = CostSpec(build_heisenberg_chain(2), (constraint,), PenaltyForm.EXPECTATION)
+        evaluator = CostEvaluator(spec, ansatz)
+        assert np.isfinite(evaluator.value(params))
+        with pytest.raises(NonFiniteCost, match="gradient entry"):
+            evaluator.gradient(params)
 
 
 class TestMinimize:
@@ -256,6 +326,22 @@ def prepared(monkeypatch):
     return rows
 
 
+def units_per_gradient(spec, ansatz, kind="parameter_shift") -> int:
+    """The device's bundles per gradient: 2P, plus the f2 shift rule's base."""
+    base = spec.form is PenaltyForm.EXPECTATION and kind == "parameter_shift"
+    return 2 * ansatz.parameter_count + base
+
+
+def rows_per_gradient(ansatz, kind) -> int:
+    """States the simulator prepares per gradient: one for the adjoint pass."""
+    return 1 if kind == "parameter_shift" else 2 * ansatz.parameter_count
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    return count_evaluator_calls(monkeypatch)
+
+
 class TestMeasurementAccounting:
     def test_integer_identity_quasi_newton(self, prepared):
         spec = sector_spec(mu=2.0)
@@ -267,38 +353,26 @@ class TestMeasurementAccounting:
         evaluator.gradient(x, kind="central_difference")
         # operator form: one bundle per value, 2P per gradient of either rule,
         # and the gradients' bundles are not counted as values
-        assert evaluator.evals == len(prepared) == 1 + 4 * ansatz.parameter_count
+        assert evaluator.evals == 1 + 4 * ansatz.parameter_count
         assert (evaluator.nfev, evaluator.n_grad_evals) == (1, 2)
+        assert len(prepared) == 1 + 1 + 2 * ansatz.parameter_count
 
-    def test_n_meas_identity_end_to_end(self):
+    def test_n_meas_identity_end_to_end(self, calls, prepared):
+        ansatz = AnsatzConfig(qubit_count=2, depth=1)
         for form in (PenaltyForm.OPERATOR, PenaltyForm.EXPECTATION):
+            calls.update(value=0, gradient=0)
+            prepared.clear()
             spec = sector_spec(mu=2.0, form=form)
-            ansatz = AnsatzConfig(qubit_count=2, depth=1)
-            bundle_count = {"n": 0}
-            original_prepare = prepare
-
-            def counting_prepare(a, p):
-                bundle_count["n"] += len(prepared_rows(p))
-                return original_prepare(a, p)
-
-            import cvqe.optimize as optimize_module
-
-            ev = CostEvaluator(spec, ansatz)
-            optimize_module_prepare = optimize_module.prepare
-            optimize_module.prepare = counting_prepare
-            try:
-                x = np.full(ansatz.parameter_count, 0.25)
-                ev.value(x)
-                ev.gradient(x)
-            finally:
-                optimize_module.prepare = optimize_module_prepare
-            assert ev.evals == bundle_count["n"]
-            # shift gradients: 2L bundles, +1 base bundle for the
+            x = np.full(ansatz.parameter_count, 0.25)
+            record = minimize(spec, ansatz, OptimizerConfig(max_iterations=1), x)
+            assert (record.nfev, record.n_grad_evals) == (calls["value"], calls["gradient"])
+            assert record.n_grad_evals >= 1
+            # 2P units per shift-rule gradient, +1 base unit for the
             # squared-expectation chain rule
-            expected = 1 + 2 * ansatz.parameter_count
-            if form is PenaltyForm.EXPECTATION:
-                expected += 1
-            assert ev.evals == expected
+            units = calls["value"] + calls["gradient"] * units_per_gradient(spec, ansatz)
+            assert record.n_meas == units * pauli_ops_per_eval(spec)
+            # one row per value and per gradient, and the record's final state
+            assert len(prepared) == calls["value"] + calls["gradient"] + 1
 
     @pytest.mark.parametrize("form", [PenaltyForm.OPERATOR, PenaltyForm.EXPECTATION])
     @pytest.mark.parametrize(
@@ -309,20 +383,19 @@ class TestMeasurementAccounting:
             ("simplex", "parameter_shift"),
         ],
     )
-    def test_record_identity(self, form, method, kind, prepared):
+    def test_record_identity(self, form, method, kind, calls, prepared):
         spec = sector_spec(mu=2.0, form=form)
         ansatz = AnsatzConfig(qubit_count=2, depth=1)
         config = OptimizerConfig(method=method, gradient=kind, max_iterations=20)
         record = minimize(spec, ansatz, config, np.full(ansatz.parameter_count, 0.4))
-        # 2P bundles per gradient, +1 base bundle for the f2 shift-rule chain
-        per_gradient = 2 * ansatz.parameter_count
-        per_gradient += form is PenaltyForm.EXPECTATION and kind == "parameter_shift"
-        units = record.nfev + record.n_grad_evals * per_gradient
+        assert (record.nfev, record.n_grad_evals) == (calls["value"], calls["gradient"])
+        units = record.nfev + record.n_grad_evals * units_per_gradient(spec, ansatz, kind)
         assert record.n_meas == units * pauli_ops_per_eval(spec)
         assert record.nfev > 0
         assert (record.n_grad_evals > 0) == (method == "quasi_newton")
-        # the bundles plus one final state, which the record keeps
-        assert len(prepared) == units + 1
+        # the rows prepared, plus one final state, which the record keeps
+        rows = record.nfev + record.n_grad_evals * rows_per_gradient(ansatz, kind)
+        assert len(prepared) == rows + 1
         assert np.array_equal(prepared[-1], record.best_params)
         final = prepare(ansatz, record.best_params).amplitudes
         assert np.array_equal(record.state.amplitudes, final)
