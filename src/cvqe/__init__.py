@@ -23,7 +23,6 @@ from .envelope import (
     classify_target,
     lower_hull,
     minimize_expectation_penalty,
-    minimize_operator_penalty,
     noisy_expectation_penalty_minimum,
     noisy_tangent_first_order,
     tangent_closed_form,
@@ -65,10 +64,12 @@ from .paulis import (
 )
 from .penalties import (
     PenaltyConstraint,
+    deflation_weight,
     exact_coefficient,
+    penalized_energies,
+    resolve_weights,
     rough_coefficient,
     simple_coefficient,
-    vqd_beta_estimates,
 )
 from .simulator import (
     AnsatzConfig,

@@ -55,10 +55,9 @@ from .optimize import GRADIENT_RULES, OptimizerConfig, initial_params, minimize,
 from .paulis import PauliSum
 from .penalties import (
     PenaltyConstraint,
-    exact_coefficient,
-    rough_coefficient,
-    simple_coefficient,
-    vqd_beta_estimates,
+    deflation_weight,
+    penalized_energies,
+    resolve_weights,
 )
 from .simulator import AnsatzConfig, NoiseModel, expectation, overlap_sq
 
@@ -305,7 +304,7 @@ def _load_operator(source: str, expected_qubits: int | None = None) -> tuple[str
 
 
 class Workspace:
-    """Loads operators and resolves penalty coefficients for one experiment."""
+    """Loads the operators of one experiment and reads its oracle on demand."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
@@ -324,8 +323,6 @@ class Workspace:
             self.observable_names.append(name)
             self.observables.append(op)
             self.targets.append(request.target)
-        self._gaps: dict[int, float] = {}
-        self._constraints: tuple[PenaltyConstraint, ...] | None = None
 
     @functools.cached_property
     def spectrum(self) -> Spectrum:
@@ -337,69 +334,30 @@ class Workspace:
         """Ground of the target sector; with no constraints, the global ground."""
         return sector_ground_multi(self.spectrum, self.targets)
 
-    def min_gap(self, index: int) -> float:
-        """Universal per-family gap for builtins, computed gap otherwise."""
-        if index not in self._gaps:
-            name = self.observable_names[index]
-            universal = models.UNIVERSAL_MIN_GAPS.get(name)
-            if universal is not None:
-                self._gaps[index] = universal
-            else:
-                self._gaps[index] = min_distinct_gap(self.observables[index])
-        return self._gaps[index]
+    @functools.cached_property
+    def constraints(self) -> tuple[PenaltyConstraint, ...]:
+        """One unweighted term per constraint, its gap universal for a builtin
+        observable and computed otherwise.  Commands weight it by ``reweighted``,
+        which carries a built square over to the next weight."""
+        gaps = models.UNIVERSAL_MIN_GAPS
+        return tuple(
+            PenaltyConstraint(op, c, 0.0, gaps.get(name) or min_distinct_gap(op))
+            for name, op, c in zip(self.observable_names, self.observables, self.targets)
+        )
 
-    def resolve_coefficient(self, index: int) -> float:
-        request = self.config.constraints[index]
-        if request.policy == "value":
-            return request.value
-        if request.policy == "auto-rough":
-            return rough_coefficient(self.hamiltonian, self.min_gap(index))
-        if request.policy == "auto-ce":
-            estimates = request.ce_estimates or self.config.ce_estimates
-            if estimates is None:
+    def weighted_constraints(self) -> tuple[PenaltyConstraint, ...]:
+        """The constraints weighted by their mu policies, before the oracle runs
+        for any policy that does not need it (``penalties.resolve_weights``)."""
+        policies = []
+        for request in self.config.constraints:
+            if request.policy != "auto-ce":
+                argument = request.value
+            elif (argument := request.ce_estimates or self.config.ce_estimates) is None:
                 raise ConfigError("auto-ce needs estimates: mu=auto-ce(E_t,E_0) or ce_estimates")
-            mu = simple_coefficient(estimates[0], estimates[1], self.min_gap(index))
-            if not math.isfinite(mu):
-                raise ConfigError(
-                    f"constraint '{request.source}={request.target:g}': auto-ce weight "
-                    f"from estimates {estimates} is {mu}, not finite"
-                )
-            return mu
-        if request.policy == "auto-simple":
-            e_ground = float(self.spectrum.energies[0])
-            return simple_coefficient(self.target.energy, e_ground, self.min_gap(index))
-        if request.policy == "auto-exact":
-            return exact_coefficient(self.spectrum, self.target, constraint=index)
-        raise ConfigError(f"unknown mu policy {request.policy!r}")
-
-    def penalty_constraints(self, coefficient_override: float | None = None):
-        """One term per constraint, built once and reweighted on later calls.
-
-        The first call's terms are kept, so a square built on them carries
-        over to every later weight (see ``PenaltyConstraint.reweighted``).
-        """
-        count = len(self.observables)
-        if coefficient_override is None:
-            # an auto policy's 0 means a ground-sector target: any positive
-            # weight works; an explicit mu=0 stays 0 and runs unpenalized
-            coefficients = [
-                self.resolve_coefficient(index)
-                or (0.0 if request.policy == "value" else 1.0)
-                for index, request in enumerate(self.config.constraints)
-            ]
-        else:
-            coefficients = [coefficient_override] * count
-        if self._constraints is None:
-            self._constraints = tuple(
-                PenaltyConstraint(
-                    observable=observable,
-                    target=self.targets[index],
-                    coefficient=coefficients[index],
-                    min_gap=self.min_gap(index),
-                )
-                for index, observable in enumerate(self.observables)
-            )
-        return tuple(c.reweighted(mu) for c, mu in zip(self._constraints, coefficients))
+            policies.append((f"{request.source}={request.target:g}", request.policy, argument))
+        return resolve_weights(
+            self.constraints, policies, self.hamiltonian, lambda: (self.spectrum, self.target)
+        )
 
     def ansatz(self) -> AnsatzConfig:
         return AnsatzConfig(
@@ -476,8 +434,8 @@ def _claimed(path: str | None):
 
 def _sector_miss(workspace: Workspace, record) -> bool:
     return any(
-        residual > _SECTOR_MISS_FACTOR * workspace.min_gap(i) ** 2
-        for i, residual in enumerate(record.constraint_residuals)
+        residual > _SECTOR_MISS_FACTOR * constraint.min_gap**2
+        for constraint, residual in zip(workspace.constraints, record.constraint_residuals)
     )
 
 
@@ -538,8 +496,8 @@ _TRIAL_HEADER_PREFIX = [
 def cmd_vqe(config: ExperimentConfig) -> tuple[list, list]:
     workspace = Workspace(config)
     ansatz = workspace.ansatz()
+    spec = workspace.cost_spec(workspace.weighted_constraints())
     e_reference = workspace.target.energy
-    spec = workspace.cost_spec(workspace.penalty_constraints())
     records, _ = run_trials(spec, ansatz, workspace.optimizer_config(), config.seeds)
     if config.retry_on_miss:
         records = [
@@ -589,8 +547,10 @@ def cmd_scan_mu(config: ExperimentConfig) -> tuple[list, list]:
         "mean_constraint_residual",
     ]
     rows = []
+    constraints = workspace.constraints
     for mu in config.mu_values:
-        constraints = workspace.penalty_constraints(mu)
+        # each weight reweights the last, so a square built once carries over
+        constraints = tuple(c.reweighted(mu) for c in constraints)
         for form in _FORMS:
             spec = workspace.cost_spec(constraints, form=form)
             records, summary = run_trials(
@@ -614,40 +574,27 @@ def cmd_scan_mu(config: ExperimentConfig) -> tuple[list, list]:
     return header, rows
 
 
-def _resolve_betas(workspace: Workspace, count: int) -> list[float]:
-    text = str(workspace.config.beta)
-    if text == "auto-rough":
-        _, beta = vqd_beta_estimates(workspace.hamiltonian, 0.0, 0.0)
-        return [beta] * count
-    if text == "auto-ce":
-        estimates = workspace.config.ce_estimates
-        if estimates is None:
-            raise ConfigError("beta auto-ce needs ce_estimates")
-        beta, _ = vqd_beta_estimates(workspace.hamiltonian, estimates[0], estimates[1])
-        if not 0 < beta < math.inf:
-            raise ConfigError(f"--beta auto-ce needs a finite weight > 0, got {beta}")
-        return [beta] * count
-    values = _numbers(text, "each --beta entry")
-    if not values or min(values) <= 0:
-        raise ConfigError(f"--beta needs one or more weights > 0, got {text!r}")
-    # the last weight repeats for the levels past the list's end
-    return (values + [values[-1]] * count)[:count]
-
-
 def cmd_vqd(config: ExperimentConfig) -> tuple[list, list]:
     if config.levels < 1:
         raise ConfigError("vqd needs --levels >= 1")
     workspace = Workspace(config)
     ansatz = workspace.ansatz()
-    betas = _resolve_betas(workspace, config.levels)
-    constraints = workspace.penalty_constraints()
+    text = str(config.beta)
+    if text in ("auto-rough", "auto-ce"):
+        estimates = config.ce_estimates if text == "auto-ce" else None
+        if text == "auto-ce" and estimates is None:
+            raise ConfigError("beta auto-ce needs ce_estimates")
+        betas = [deflation_weight(workspace.hamiltonian, estimates)]
+    else:
+        betas = _numbers(text, "each --beta entry")
+    if not betas or not all(0 < beta < math.inf for beta in betas):
+        raise ConfigError(f"--beta {text} needs finite weights > 0, got {betas}")
+    betas += [betas[-1]] * config.levels  # the last weight repeats past the list's end
+    constraints = workspace.weighted_constraints()
     # Ideal ladder: eigenstates ordered by their penalized energies.
     spectrum = workspace.spectrum
-    penalized = spectrum.energies + sum(
-        c.coefficient * (charges - c.target) ** 2
-        for c, charges in zip(constraints, spectrum.charges)
-    )
-    ladder = spectrum.energies[np.argsort(penalized, kind="stable")].tolist()
+    order = np.argsort(penalized_energies(spectrum, constraints), kind="stable")
+    ladder = spectrum.energies[order].tolist()
     header = ["level", *_TRIAL_HEADER_PREFIX[1:]]
     header += [f"residual_{name}" for name in workspace.observable_names]
     header += ["sector_miss", "max_overlap_previous", "seed"]

@@ -15,7 +15,8 @@ One formula, :func:`evaluate_cost`, serves both penalty forms::
   ``m_l`` from the breakdown.  Building such a spec builds no square.
 
 :func:`adjoint_vector` gives the operator whose expectation has the cost's
-gradient, applied to the state, for the simulator's adjoint pass.
+gradient, applied to the state, for the simulator's adjoint pass; it reuses
+the vectors :func:`evaluate_cost` applied.
 
 Deflation terms ``beta_i |<psi_i|psi>|^2`` target excited states.  With a
 depolarizing noise model attached, Hamiltonian and constraint expectations
@@ -35,7 +36,7 @@ import numpy as np
 from .errors import DimensionMismatch, PenaltyFormError
 from .paulis import PauliSum
 from .penalties import PenaltyConstraint
-from .simulator import NoiseModel, StateVector, apply, depolarize, expectation, overlap_sq
+from .simulator import NoiseModel, StateVector, apply, depolarize, overlap_sq
 
 
 class PenaltyForm(enum.Enum):
@@ -86,9 +87,6 @@ class CostSpec:
             return pure
         return depolarize(pure, op, self.noise)
 
-    def _expect(self, op: PauliSum, state: StateVector) -> float:
-        return self._depolarize(expectation(op, state), op)
-
 
 @dataclass(frozen=True)
 class CostBreakdown:
@@ -97,6 +95,7 @@ class CostBreakdown:
     penalty_parts: tuple[float, ...]
     deflation_part: float
     measured: tuple[float, ...]  # per constraint: <(C-c)^2> (operator form) or <C>
+    applied: tuple = field(repr=False, compare=False)  # H psi, then (C - c) psi or C psi
 
 
 def evaluate_operator_penalty(spec: CostSpec, state: StateVector) -> CostBreakdown:
@@ -122,42 +121,44 @@ def squared_residual(constraint: PenaltyConstraint, state: StateVector) -> float
 
 def evaluate_cost(spec: CostSpec, state: StateVector) -> CostBreakdown:
     """The penalized cost of ``state`` in the spec's form (see the module docstring)."""
-    energy = spec._expect(spec.hamiltonian, state)
-    if spec.form is PenaltyForm.OPERATOR:
-        measured = tuple(
-            spec._depolarize(squared_residual(c, state), c.square) for c in spec.constraints
-        )
-        penalties = tuple(c.coefficient * m for c, m in zip(spec.constraints, measured))
+    psi = state.amplitudes
+    h_psi = apply(spec.hamiltonian, psi)
+    energy = spec._depolarize(float(np.vdot(psi, h_psi).real), spec.hamiltonian)
+    operator_form = spec.form is PenaltyForm.OPERATOR
+    if operator_form:
+        vectors = tuple(apply(c.observable, psi) - c.target * psi for c in spec.constraints)
+        pure = [float(np.vdot(v, v).real) for v in vectors]  # ||(C - c) psi||^2
     else:
-        measured = tuple(spec._expect(op, state) for op in spec._measured_ops)
-        penalties = tuple(
-            c.coefficient * (m - c.target) ** 2 for c, m in zip(spec.constraints, measured)
-        )
+        vectors = tuple(apply(c.observable, psi) for c in spec.constraints)
+        pure = [float(np.vdot(psi, v).real) for v in vectors]  # <C>
+    measured = tuple(spec._depolarize(m, op) for m, op in zip(pure, spec._measured_ops))
+    penalties = tuple(
+        c.coefficient * (m if operator_form else (m - c.target) ** 2)
+        for c, m in zip(spec.constraints, measured)
+    )
     deflation = sum(beta * overlap_sq(prev, state) for prev, beta in spec.deflation)
     total = energy + sum(penalties) + deflation
-    return CostBreakdown(total, energy, penalties, deflation, measured)
+    return CostBreakdown(total, energy, penalties, deflation, measured, (h_psi, *vectors))
 
 
-def adjoint_vector(spec: CostSpec, state: StateVector, measured) -> np.ndarray:
+def adjoint_vector(spec: CostSpec, state: StateVector, base: CostBreakdown) -> np.ndarray:
     """``lam = A psi``, where A's expectation has the cost's gradient at ``state``.
 
-    ``measured`` is ``evaluate_cost(spec, state).measured``.  The operator
-    form's A is ``H + sum_l mu_l (C_l - c_l)^2``, the square applied as
-    (C - c) twice; the expectation form's is ``H + sum_l 2 mu_l (m_l - c_l) C_l``.
+    ``base`` is ``evaluate_cost(spec, state)``; its applied vectors are reused.
+    The operator form's A is ``H + sum_l mu_l (C_l - c_l)^2``, the square applied
+    as (C - c) twice; the expectation form's is ``H + sum_l 2 mu_l (m_l - c_l) C_l``.
     Noise scales that part by (1 - p); deflation adds ``beta |psi_i><psi_i|``.
     """
-    psi = state.amplitudes
-    lam = apply(spec.hamiltonian, psi)
-    for c, m in zip(spec.constraints, measured):
+    lam = base.applied[0].copy()
+    for c, m, v in zip(spec.constraints, base.measured, base.applied[1:]):
         if spec.form is PenaltyForm.OPERATOR:
-            residual = apply(c.observable, psi) - c.target * psi
-            lam += c.coefficient * (apply(c.observable, residual) - c.target * residual)
+            lam += c.coefficient * (apply(c.observable, v) - c.target * v)
         else:
-            lam += 2.0 * c.coefficient * (m - c.target) * apply(c.observable, psi)
+            lam += 2.0 * c.coefficient * (m - c.target) * v
     if spec.noise is not None:
         lam *= 1.0 - spec.noise.p
     for prev, beta in spec.deflation:
-        lam += beta * np.vdot(prev.amplitudes, psi) * prev.amplitudes
+        lam += beta * np.vdot(prev.amplitudes, state.amplitudes) * prev.amplitudes
     return lam
 
 

@@ -22,11 +22,11 @@ parabola; the exact noisy minimum reduces to the noiseless minimizer with
 transformed (c, mu), and the first-order shifts in p are available in
 closed form.
 
-The cloud is read once, by :func:`lower_hull`: every other expectation-form
-function takes the ``list[EnvelopePoint]`` hull it returns, and the target
-as its own spectrum point (the caller's sector ground).  Only
-:func:`minimize_operator_penalty` reads the cloud, since the operator form
-sees every eigenstate.
+The cloud is read once, by :func:`lower_hull`: every other function takes
+the ``list[EnvelopePoint]`` hull it returns, and the target as its own
+spectrum point (the caller's sector ground).  The operator form sees every
+eigenstate instead, so its minimum is the least of
+:func:`~cvqe.penalties.penalized_energies` and needs no plane.
 
 One tolerance, :data:`PLANE_TOL`, decides every "same point" question of
 the hull geometry: charges collapsed into one hull column, a target clamped
@@ -77,11 +77,6 @@ class RelaxationMinimum:
     c_opt: float
     e_opt: float
     support: tuple[tuple[EnvelopePoint, float], ...]
-
-
-class OperatorPenaltyMinimum(NamedTuple):
-    value: float
-    index: int
 
 
 def lower_hull(points) -> list[EnvelopePoint]:
@@ -141,17 +136,6 @@ def classify_target(hull: list[EnvelopePoint], target: EnvelopePoint) -> Classif
     if target.energy <= hull_energy_at(hull, target.charge) + PLANE_TOL:
         return Classification.BOUNDARY
     return Classification.INTERIOR
-
-
-def minimize_operator_penalty(points, c: float, mu: float) -> OperatorPenaltyMinimum:
-    """Minimum of sum_i w_i (E_i + mu (C_i - c)^2) over the weight simplex.
-
-    The objective is linear in the weights, so the minimum sits on a
-    vertex: simply the best single spectrum point of the cloud.
-    """
-    values = [float(e) + mu * (float(q) - c) ** 2 for q, e in points]
-    index = min(range(len(values)), key=values.__getitem__)
-    return OperatorPenaltyMinimum(float(values[index]), index)
 
 
 def minimize_expectation_penalty(

@@ -155,7 +155,7 @@ class CostEvaluator:
         if not math.isfinite(base.total):
             raise NonFiniteCost(f"cost evaluated to {base.total}")
         with np.errstate(over="ignore", invalid="ignore"):
-            lam = adjoint_vector(self.spec, state, base.measured)
+            lam = adjoint_vector(self.spec, state, base)
             grad = adjoint_gradient(self.ansatz, params, state, lam)
         if not np.isfinite(grad).all():
             raise NonFiniteCost(f"gradient entry evaluated to {grad[~np.isfinite(grad)][0]}")

@@ -1,6 +1,6 @@
-"""Penalty-coefficient formulas for symmetry-constrained optimization.
+"""Penalty weights for symmetry-constrained optimization: every mu and beta.
 
-Three nested choices, each an upper bound on the previous:
+Three nested choices of mu, each an upper bound on the previous:
 
 * :func:`exact_coefficient` -- the tight threshold
   ``max_{i < i0} (E_i0 - E_i) / (C_i - c)^2`` from the full spectrum;
@@ -9,17 +9,25 @@ Three nested choices, each an upper bound on the previous:
 * :func:`rough_coefficient` -- ``2 * sum_j |c_j| / gap^2`` from the
   Hamiltonian coefficients alone, valid for any system.
 
+:func:`resolve_weights` maps each constraint's policy to one of them, and
+:func:`deflation_weight` is VQD's beta rule.  A weight above the threshold
+puts the minimum of :func:`penalized_energies` in the target sector.
+
 Classically-estimated energies are always caller-supplied; deliberately
 perturbed oracle energies emulate over/under-estimation.  When the target
-is the global ground state the max above runs over an empty set; we return
-0 (any positive coefficient is valid) and let callers substitute a default.
+is the global ground state the max above runs over an empty set; the
+formula returns 0 (any positive coefficient is valid) and the resolver
+substitutes 1.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
+
+import numpy as np
 
 from .errors import InconsistentTarget, InvalidEstimate
 from .exactdiag import MATCH_TOL, SectorTarget, Spectrum, in_sector
@@ -105,16 +113,63 @@ def rough_coefficient(hamiltonian: PauliSum, min_gap: float) -> float:
     return 2.0 * coefficient_norm(hamiltonian) / min_gap**2
 
 
-def vqd_beta_estimates(
-    hamiltonian: PauliSum, e_target_estimate: float, e_ground_estimate: float
-) -> tuple[float, float]:
-    """Deflation-weight choices: (2 * estimated gap, 4 * sum_j |c_j|).
+def deflation_weight(hamiltonian: PauliSum, estimates: tuple[float, float] | None = None) -> float:
+    """VQD's deflation weight beta >= 2 (E_target - E_ground): twice the gap of
+    caller-supplied ``(E_target, E_ground)`` estimates, or without them its
+    coefficient-norm upper bound ``4 sum_j |c_j|``, valid for any system."""
+    if estimates is None:
+        return 4.0 * coefficient_norm(hamiltonian)
+    _check_energies(*estimates, "estimate")
+    return 2.0 * (estimates[0] - estimates[1])
 
-    The first follows the rule beta >= 2 (E_target - E_ground) with
-    caller-supplied estimates; the second replaces the gap by its
-    coefficient-norm upper bound.
+
+_ORACLE_POLICIES = ("auto-exact", "auto-simple")
+
+
+def resolve_weights(
+    constraints: Sequence[PenaltyConstraint], policies, hamiltonian: PauliSum, oracle
+) -> tuple[PenaltyConstraint, ...]:
+    """``constraints`` reweighted, each by its own mu policy.
+
+    ``policies[l]`` is ``(label, policy, argument)``: ``"value"`` takes the
+    weight as argument, ``"auto-ce"`` its ``(E_target, E_ground)`` estimates,
+    the other auto policies none.  ``oracle()`` returns the spectrum and
+    sector ground; it is called only once every other policy has resolved.
+    An auto policy's 0 (a ground-sector target) becomes 1; an explicit 0
+    stays 0.  A non-finite auto weight raises :class:`InvalidEstimate`.
     """
-    _check_energies(e_target_estimate, e_ground_estimate, "estimate")
-    beta_estimated = 2.0 * (e_target_estimate - e_ground_estimate)
-    beta_rough = 4.0 * coefficient_norm(hamiltonian)
-    return beta_estimated, beta_rough
+
+    def weight(index: int) -> float:
+        label, policy, argument = policies[index]
+        gap = constraints[index].min_gap
+        if policy == "value":
+            return argument
+        if policy == "auto-rough":
+            mu = rough_coefficient(hamiltonian, gap)
+        elif policy == "auto-ce":
+            mu = simple_coefficient(*argument, gap)
+        elif policy == "auto-simple":
+            spectrum, target = oracle()
+            mu = simple_coefficient(target.energy, float(spectrum.energies[0]), gap)
+        elif policy == "auto-exact":
+            mu = exact_coefficient(*oracle(), constraint=index)
+        else:
+            raise ValueError(f"unknown mu policy {policy!r}")
+        if not math.isfinite(mu):
+            inputs = f" from estimates {argument}" if argument else ""
+            message = f"constraint '{label}': {policy} weight{inputs} is {mu}, not finite"
+            raise InvalidEstimate(message)
+        return mu or 1.0
+
+    oracle_last = sorted(range(len(policies)), key=lambda k: policies[k][1] in _ORACLE_POLICIES)
+    weights = {index: weight(index) for index in oracle_last}
+    return tuple(c.reweighted(weights[k]) for k, c in enumerate(constraints))
+
+
+def penalized_energies(spectrum: Spectrum, constraints) -> np.ndarray:
+    """``E_i + sum_l mu_l (C_li - c_l)^2`` per spectrum row, a (2^n,) array: the
+    operator-form cost of each eigenstate, whose minimum is the cost's floor."""
+    return spectrum.energies + sum(
+        c.coefficient * (charges - c.target) ** 2
+        for c, charges in zip(constraints, spectrum.charges)
+    )

@@ -126,6 +126,15 @@ def one_at_a_time_gradient(spec, ansatz, params, kind="parameter_shift"):
     return grad
 
 
+def dense_penalized(hamiltonian: PauliSum, constraints) -> np.ndarray:
+    """The Kronecker matrix of ``H + sum_l mu_l (C_l - c_l)^2``, squared by matmul."""
+    out = dense_oracle(hamiltonian)
+    for constraint in constraints:
+        shifted = dense_oracle(constraint.observable) - constraint.target * np.eye(len(out))
+        out = out + constraint.coefficient * (shifted @ shifted)
+    return out
+
+
 def dense_gap(observable: PauliSum) -> float | None:
     """Smallest gap between the levels of the Kronecker matrix's ``eigvalsh``,
     each level at its mean; None for a single level."""

@@ -28,17 +28,18 @@ from cvqe import (
     build_s_squared,
     build_total_sz,
     classify_target,
+    deflation_weight,
     depolarized_offset,
     diagonal_hamiltonian,
     evaluate_cost,
     exact_coefficient,
     expectation,
     minimize_expectation_penalty,
-    minimize_operator_penalty,
     noisy_expectation_penalty_minimum,
     noisy_tangent_first_order,
     parse_pauli_sum,
     pauli_ops_per_eval,
+    penalized_energies,
     prepare,
     rough_coefficient,
     run_trials,
@@ -48,7 +49,6 @@ from cvqe import (
     simultaneous_spectrum_multi,
     square_shifted,
     tangent_closed_form,
-    vqd_beta_estimates,
 )
 from cvqe.envelope import EnvelopePoint, hull_energy_at, lower_hull
 from cvqe.errors import ParseError
@@ -117,23 +117,24 @@ def _boundary_instances(minimum: int = 20):
         point = EnvelopePoint(plane[target.index][0], target.energy)
         if classify_target(lower_hull(plane), point) is not Classification.BOUNDARY:
             continue
-        instances.append((h, universal_gap, spectrum, plane, c, target))
+        instances.append((h, universal_gap, spectrum, obs, c, target))
     return instances
 
 
 def test_criterion_2_threshold_theorem():
     """Tight threshold attains the target; exact <= simple <= rough everywhere."""
     instances = _boundary_instances(20)
-    for h, universal_gap, spectrum, plane, c, target in instances:
+    for h, universal_gap, spectrum, obs, c, target in instances:
         exact = exact_coefficient(spectrum, target)
         simple = simple_coefficient(target.energy, spectrum.energies[0], universal_gap)
         rough = rough_coefficient(h, universal_gap)
         assert exact <= simple + 1e-12
         assert simple <= rough + 1e-12
         mu = exact * (1 + 1e-6)
-        value, index = minimize_operator_penalty(plane, c, mu)
-        assert value == pytest.approx(target.energy, abs=1e-9)
-        assert abs(plane[index][0] - c) < 1e-8
+        values = penalized_energies(spectrum, [PenaltyConstraint(obs, c, mu, universal_gap)])
+        index = int(np.argmin(values))
+        assert values[index] == pytest.approx(target.energy, abs=1e-9)
+        assert abs(spectrum.charges[0, index] - c) < 1e-8
     report(2, f"threshold theorem verified on {len(instances)} boundary instances")
 
 
@@ -269,7 +270,7 @@ def test_criterion_6_vqe_vqd_against_oracle():
     assert ground_summary.best_cost == pytest.approx(e0, abs=1e-6)
 
     ground_state = prepare(ANSATZ4, ground_records[ground_summary.best_index].best_params)
-    _, beta_rough = vqd_beta_estimates(HEISENBERG4, 0.0, 0.0)
+    beta_rough = deflation_weight(HEISENBERG4)
     deflated = CostSpec(hamiltonian=HEISENBERG4, deflation=((ground_state, beta_rough),))
     _, excited_summary = run_trials(deflated, ANSATZ4, OptimizerConfig(seed=43), 10)
     assert excited_summary.best_cost == pytest.approx(e1, abs=1e-6)

@@ -498,26 +498,25 @@ class TestPolicyResolution:
         workspace = self.make_workspace(["sz=1:mu=auto-exact"])
         spectrum = simultaneous_spectrum(build_heisenberg_chain(4), build_total_sz(4))
         expected = exact_coefficient(spectrum, sector_ground_multi(spectrum, (1.0,)))
-        assert workspace.resolve_coefficient(0) == pytest.approx(expected)
+        assert workspace.weighted_constraints()[0].coefficient == pytest.approx(expected)
 
     def test_auto_exact_multi_skips_matching_charges(self):
         workspace = self.make_workspace(["s2=2:mu=auto-exact", "sz=-1:mu=auto-exact"])
-        mus = [workspace.resolve_coefficient(0), workspace.resolve_coefficient(1)]
+        from cvqe import penalized_energies
+
+        constraints = workspace.weighted_constraints()
+        assert [c.target for c in constraints] == [2.0, -1.0]
         # every lower-lying state differs in at least one observable, so the
         # per-observable maxima keep the combined penalty sufficient
-        spectrum = workspace.spectrum
         sector = workspace.target
-        penalized = spectrum.energies + sum(
-            mu * (charges - target) ** 2
-            for mu, charges, target in zip(mus, spectrum.charges, [2.0, -1.0])
-        )
+        penalized = penalized_energies(workspace.spectrum, constraints)
         assert np.all(penalized[: sector.index] >= sector.energy - 1e-9)
 
     def test_auto_simple_uses_universal_gap(self):
         workspace = self.make_workspace(["sz=1:mu=auto-simple"])
         e_target = workspace.target.energy
         e_ground = workspace.spectrum.energies[0]
-        assert workspace.resolve_coefficient(0) == pytest.approx(
+        assert workspace.weighted_constraints()[0].coefficient == pytest.approx(
             (e_target - e_ground) / 0.5**2
         )
 
@@ -525,19 +524,21 @@ class TestPolicyResolution:
         from cvqe import build_heisenberg_chain, rough_coefficient
 
         workspace = self.make_workspace(["sz=1:mu=auto-rough"])
-        assert workspace.resolve_coefficient(0) == pytest.approx(
+        assert workspace.weighted_constraints()[0].coefficient == pytest.approx(
             rough_coefficient(build_heisenberg_chain(4), 0.5)
         )
 
     def test_auto_ce_inline(self):
         workspace = self.make_workspace(["sz=1:mu=auto-ce(-0.9,-1.6)"])
-        assert workspace.resolve_coefficient(0) == pytest.approx(0.7 / 0.25)
+        assert workspace.weighted_constraints()[0].coefficient == pytest.approx(0.7 / 0.25)
 
     def test_ground_sector_substitutes_default(self):
-        # Sz=0 holds the global ground: exact threshold is 0, the CLI uses 1
+        from cvqe import exact_coefficient
+
+        # Sz=0 holds the global ground: exact threshold is 0, the resolver uses 1
         workspace = self.make_workspace(["sz=0:mu=auto-exact"])
-        assert workspace.resolve_coefficient(0) == 0.0
-        (constraint,) = workspace.penalty_constraints()
+        assert exact_coefficient(workspace.spectrum, workspace.target) == 0.0
+        (constraint,) = workspace.weighted_constraints()
         assert constraint.coefficient == 1.0
 
     def test_computed_gap_for_file_observable(self, tmp_path):
@@ -552,7 +553,7 @@ class TestPolicyResolution:
         )
         workspace = Workspace(config)
         # file-loaded observables fall back to the instance gap (1, not 1/2)
-        assert workspace.min_gap(0) == pytest.approx(1.0)
+        assert workspace.constraints[0].min_gap == pytest.approx(1.0)
 
 
 class TestArgumentErrors:
@@ -747,6 +748,35 @@ class TestArgumentErrors:
         assert run_cli([*argv, "--hamiltonian", "builtin:heisenberg:2"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["vqe", "--constraint", "sz=7:mu=auto-ce(1e308,-1e308)"], "'sz=7': auto-ce"),
+            (["vqd", "--constraint", "sz=7:mu=auto-simple",
+              "--constraint", "sz=1:mu=auto-ce(1e308,-1e308)"], "'sz=1': auto-ce"),
+        ],
+        ids=["vqe", "vqd_after_an_oracle_policy"],
+    )  # fmt: skip
+    def test_non_finite_auto_ce_weight_fails_before_the_oracle(
+        self, argv, named, monkeypatch, capsys
+    ):
+        # sz=7 has no sector: had the oracle run first, it would exit 2
+        def oracle(*args):
+            raise AssertionError("the oracle ran before the weights were resolved")
+
+        monkeypatch.setattr("cvqe.cli.simultaneous_spectrum_multi", oracle)
+        assert run_cli([*argv, "--hamiltonian", "builtin:heisenberg:4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
+
+    def test_scan_mu_resolves_no_policy(self, tmp_path):
+        # scan-mu sets every weight from --mu-values, so a bad auto-ce policy is unused
+        assert run_cli([
+            "scan-mu", "--hamiltonian", "builtin:heisenberg:2",
+            "--constraint", "sz=1:mu=auto-ce(1e308,-1e308)", "--mu-values", "1",
+            "--depth", 0, "--seeds", 1, "--out", tmp_path / "scan.csv",
+        ]) == 0  # fmt: skip
 
     @pytest.mark.parametrize(
         "argv",

@@ -5,17 +5,20 @@ from hypothesis import strategies as st
 
 from cvqe import (
     Classification,
+    PenaltyConstraint,
     TangentCase,
     build_heisenberg_chain,
     build_total_sz,
     classify_target,
+    diagonal_hamiltonian,
     lower_hull,
     minimize_expectation_penalty,
-    minimize_operator_penalty,
     noisy_expectation_penalty_minimum,
     noisy_tangent_first_order,
+    penalized_energies,
     sector_ground_multi,
     simultaneous_spectrum,
+    simultaneous_spectrum_multi,
     tangent_closed_form,
 )
 from cvqe.envelope import EnvelopePoint, hull_energy_at
@@ -117,17 +120,31 @@ class TestClassifyTarget:
 
 
 class TestOperatorPenaltyRelaxation:
+    """The operator form's minimum over all states is its least penalized energy."""
+
+    @staticmethod
+    def least(charges, energies, c, mu):
+        """(value, index, spectrum) of the least penalized energy of the cloud
+        {(charges[k], energies[k])}: a diagonal H with a diagonal observable."""
+        observable = diagonal_hamiltonian(charges)
+        spectrum = simultaneous_spectrum_multi(diagonal_hamiltonian(energies), [observable])
+        values = penalized_energies(spectrum, [PenaltyConstraint(observable, c, mu, 1.0)])
+        index = int(np.argmin(values))
+        return values[index], index, spectrum
+
     def test_linear_form_picks_vertex(self):
-        value, index = minimize_operator_penalty(TOY, 1.0, 2.0)
+        charges, energies = zip(*TOY)
+        value, index, _ = self.least(charges, energies, 1.0, 2.0)
         assert index == 1 and value == -1.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(57)
         for _ in range(10):
-            pts = [(float(c), float(e)) for c, e in rng.normal(size=(5, 2))]
+            charges, energies = rng.normal(size=(2, 4))
             c = float(rng.normal())
             mu = float(rng.uniform(0.1, 5.0))
-            value, _ = minimize_operator_penalty(pts, c, mu)
+            value, _, spectrum = self.least(charges, energies, c, mu)
+            pts = list(zip(spectrum.charges[0].tolist(), spectrum.energies.tolist()))
 
             def objective(w):
                 cs = np.array([p[0] for p in pts])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cvqe import (
     PauliSum,
@@ -10,18 +12,19 @@ from cvqe import (
     build_heisenberg_chain,
     build_s_squared,
     build_total_sz,
+    deflation_weight,
     exact_coefficient,
     min_distinct_gap,
-    minimize_operator_penalty,
+    penalized_energies,
+    resolve_weights,
     rough_coefficient,
     sector_ground_multi,
     simple_coefficient,
     simultaneous_spectrum,
     simultaneous_spectrum_multi,
-    vqd_beta_estimates,
 )
 from cvqe.errors import InconsistentTarget, InvalidEstimate, NotCommuting
-from helpers import observable_menu, random_symmetric_hamiltonian
+from helpers import PROPERTY, dense_penalized, observable_menu, random_symmetric_hamiltonian
 
 
 def toy_spectrum(charges, energies):
@@ -151,28 +154,102 @@ class TestThresholdTightness:
             target = sector_ground_multi(spectrum, (c,))
             if target.index == 0:
                 continue
-            out.append((spectrum, c, target))
+            out.append((spectrum, obs, c, target))
         return out
 
+    @staticmethod
+    def least(spectrum, obs, c, mu):
+        """(value, index) of the least penalized energy: the operator form's minimum."""
+        values = penalized_energies(spectrum, [PenaltyConstraint(obs, c, mu, 0.5)])
+        index = int(np.argmin(values))
+        return values[index], index
+
     def test_slightly_above_threshold_attains_target(self):
-        for spectrum, c, target in self._instances():
+        for spectrum, obs, c, target in self._instances():
             mu = exact_coefficient(spectrum, target) * (1 + 1e-6)
-            value, index = minimize_operator_penalty(plane(spectrum), c, mu)
+            value, index = self.least(spectrum, obs, c, mu)
             assert value == pytest.approx(target.energy, abs=1e-9)
             assert abs(spectrum.charges[0, index] - c) < 1e-8
 
     def test_below_threshold_escapes_sector(self):
-        for spectrum, c, target in self._instances():
+        for spectrum, obs, c, target in self._instances():
             exact = exact_coefficient(spectrum, target)
             # shrinking below the threshold must strictly beat the target
             # whenever the defining max is achieved strictly
             mu = exact * 0.9
-            value, index = minimize_operator_penalty(plane(spectrum), c, mu)
+            value, index = self.least(spectrum, obs, c, mu)
             below = plane(spectrum)[: target.index]
             competitor_values = [e + mu * (q - c) ** 2 for q, e in below if abs(q - c) > 1e-8]
             if min(competitor_values) < target.energy - 1e-12:
                 assert value < target.energy - 1e-12
                 assert abs(spectrum.charges[0, index] - c) > 1e-8
+
+
+class TestPenalizedEnergies:
+    @PROPERTY
+    @given(
+        n=st.integers(2, 5),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sorted_equals_dense_eigenvalues(self, n, picks, seed):
+        rng = np.random.default_rng(seed)
+        h = random_symmetric_hamiltonian(rng, n)
+        menu = observable_menu(n)
+        constraints = [
+            PenaltyConstraint(obs, float(rng.normal()), float(rng.uniform(0, 5)), gap)
+            for _, obs, gap in (menu[k] for k in picks)
+        ]
+        spectrum = simultaneous_spectrum_multi(h, [c.observable for c in constraints])
+        got = np.sort(penalized_energies(spectrum, constraints))
+        want = np.linalg.eigvalsh(dense_penalized(h, constraints))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+class TestResolveWeights:
+    H = build_heisenberg_chain(4)
+
+    @staticmethod
+    def unweighted(*targets):
+        return [PenaltyConstraint(build_total_sz(4), c, 0.0, 0.5) for c in targets]
+
+    def test_oracle_free_policies_resolve_first(self):
+        def oracle():
+            raise AssertionError("the oracle ran before the oracle-free policies")
+
+        policies = [("sz=7", "auto-simple", None), ("sz=1", "auto-ce", (1e308, -1e308))]
+        with pytest.raises(InvalidEstimate, match="'sz=1': auto-ce"):
+            resolve_weights(self.unweighted(7.0, 1.0), policies, self.H, oracle)
+
+    def test_overflowing_rough_weight_names_its_constraint(self):
+        huge = PauliSum((PauliTerm(1e308, ((0, "X"),)), PauliTerm(1e308, ((0, "Z"),))), 1)
+        constraint = PenaltyConstraint(build_total_sz(1), 0.5, 0.0, 1.0)
+        with pytest.raises(InvalidEstimate, match="'sz=0.5': auto-rough weight is inf"):
+            resolve_weights([constraint], [("sz=0.5", "auto-rough", None)], huge, None)
+
+    def test_only_an_auto_zero_becomes_one(self):
+        policies = [("sz=1", "value", 0.0), ("sz=1", "auto-ce", (-1.0, -1.0))]
+        weighted = resolve_weights(self.unweighted(1.0, 1.0), policies, self.H, None)
+        assert [c.coefficient for c in weighted] == [0.0, 1.0]
+
+    def test_policies_map_to_their_formulas(self):
+        spectrum = simultaneous_spectrum(self.H, build_total_sz(4))
+        target = sector_ground_multi(spectrum, (1.0,))
+        calls = []
+
+        def oracle():
+            calls.append(1)
+            return spectrum, target
+
+        policies = [("sz=1", "auto-exact", None), ("sz=1", "auto-rough", None)]
+        exact, rough = resolve_weights(self.unweighted(1.0, 1.0), policies, self.H, oracle)
+        assert exact.coefficient == exact_coefficient(spectrum, target)
+        assert rough.coefficient == rough_coefficient(self.H, 0.5)
+        assert len(calls) == 1
+
+    def test_unknown_policy(self):
+        with pytest.raises(ValueError, match="auto-x"):
+            resolve_weights(self.unweighted(1.0), [("sz=1", "auto-x", None)], self.H, None)
 
 
 class TestMultiConstraint:
@@ -224,22 +301,22 @@ class TestMultiConstraint:
 class TestBetaEstimates:
     def test_from_estimates(self):
         h = build_heisenberg_chain(2)
-        beta, _ = vqd_beta_estimates(h, -1.0, -3.0)
+        beta = deflation_weight(h, (-1.0, -3.0))
         assert beta == pytest.approx(4.0)
 
     def test_rough_from_norm(self):
         h = PauliSum((PauliTerm(1.984, ((0, "Z"),)),), 1)
-        _, beta = vqd_beta_estimates(h, 0.0, 0.0)
+        beta = deflation_weight(h)
         assert beta == pytest.approx(7.936)
 
     def test_zero_gap(self):
         h = build_heisenberg_chain(2)
-        beta, _ = vqd_beta_estimates(h, -1.0, -1.0)
+        beta = deflation_weight(h, (-1.0, -1.0))
         assert beta == 0.0
 
     def test_invalid(self):
         with pytest.raises(InvalidEstimate):
-            vqd_beta_estimates(build_heisenberg_chain(2), -2.0, -1.0)
+            deflation_weight(build_heisenberg_chain(2), (-2.0, -1.0))
         for args in [(float("nan"), -1.0), (-1.0, float("nan"))]:
             with pytest.raises(InvalidEstimate):
-                vqd_beta_estimates(build_heisenberg_chain(2), *args)
+                deflation_weight(build_heisenberg_chain(2), args)
