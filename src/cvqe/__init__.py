@@ -74,7 +74,6 @@ from .penalties import (
 from .simulator import (
     AnsatzConfig,
     NoiseModel,
-    StateVector,
     basis_state,
     depolarize,
     expectation,

@@ -54,6 +54,7 @@ from .exactdiag import (
 from .optimize import GRADIENT_RULES, OptimizerConfig, initial_params, minimize, run_trials
 from .paulis import PauliSum
 from .penalties import (
+    MU_POLICIES,
     PenaltyConstraint,
     deflation_weight,
     penalized_energies,
@@ -64,8 +65,6 @@ from .simulator import AnsatzConfig, NoiseModel, expectation, overlap_sq
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_ORACLE = 2
-
-_MU_POLICIES = ("auto-exact", "auto-simple", "auto-rough", "auto-ce")
 
 # CLI and config spellings -> library names; the CSV keeps the spellings.
 _FORMS = {"f1": PenaltyForm.OPERATOR, "f2": PenaltyForm.EXPECTATION}
@@ -84,7 +83,7 @@ class ConfigError(ValueError):
 class ConstraintRequest:
     source: str
     target: float
-    policy: str  # one of _MU_POLICIES or "value"
+    policy: str  # one of MU_POLICIES or "value"
     value: float | None = None
     ce_estimates: tuple[float, float] | None = None
 
@@ -156,7 +155,7 @@ def _parse_constraint(text: str) -> ConstraintRequest:
             estimates = _ce_estimates(estimates, f"auto-ce in constraint {text!r}")
             return ConstraintRequest(source, target, "auto-ce", ce_estimates=estimates)
         return ConstraintRequest(source, target, "auto-ce")
-    if policy_text in _MU_POLICIES:
+    if policy_text in MU_POLICIES:
         return ConstraintRequest(source, target, policy_text)
     if policy_text.startswith("auto-"):
         raise ConfigError(f"unknown mu policy {policy_text!r}")
@@ -190,7 +189,7 @@ def _constraint_request(entry) -> ConstraintRequest:
     policy = str(entry.get("mu", "auto-simple"))
     if "ce_estimates" in entry and policy != "auto-ce":
         raise ConfigError(f"constraint key 'ce_estimates' needs mu 'auto-ce', got mu {policy!r}")
-    if policy in _MU_POLICIES:
+    if policy in MU_POLICIES:
         ce = entry.get("ce_estimates")
         if ce is not None:
             ce = _ce_estimates([float(v) for v in ce], "constraint key 'ce_estimates'")

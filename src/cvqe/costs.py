@@ -4,6 +4,8 @@ One formula, :func:`evaluate_cost`, serves both penalty forms::
 
     total = <H> + sum_l penalty_l + sum_i beta_i |<psi_i|psi>|^2
 
+Every state here, ``psi`` and each deflation ``psi_i``, is a (2^n,) amplitude array.
+
 * ``PenaltyForm.OPERATOR`` measures ``m_l = <(C_l - c_l)^2>`` (the squared
   *operator*) and adds ``penalty_l = mu_l m_l``.  The simulator takes
   ``m_l`` as ``||(C_l - c_l) psi||^2`` (:func:`squared_residual`), so the
@@ -36,7 +38,7 @@ import numpy as np
 from .errors import DimensionMismatch, PenaltyFormError
 from .paulis import PauliSum
 from .penalties import PenaltyConstraint
-from .simulator import NoiseModel, StateVector, apply, depolarize, overlap_sq
+from .simulator import NoiseModel, apply, depolarize, overlap_sq
 
 
 class PenaltyForm(enum.Enum):
@@ -51,7 +53,7 @@ class CostSpec:
     hamiltonian: PauliSum
     constraints: tuple[PenaltyConstraint, ...] = ()
     form: PenaltyForm = PenaltyForm.OPERATOR
-    deflation: tuple[tuple[StateVector, float], ...] = ()
+    deflation: tuple[tuple[np.ndarray, float], ...] = ()  # (amplitudes, beta) pairs
     noise: NoiseModel | None = None
     _measured_ops: tuple[PauliSum, ...] = field(init=False, repr=False, compare=False)
     _ops_per_eval: int = field(init=False, repr=False, compare=False)
@@ -64,8 +66,8 @@ class CostSpec:
             if constraint.observable.qubit_count != n:
                 raise DimensionMismatch("constraint observable qubit count differs from H")
         for state, beta in self.deflation:
-            if state.qubit_count != n:
-                raise DimensionMismatch("deflation state qubit count differs from H")
+            if state.shape != (2**n,):
+                raise DimensionMismatch(f"deflation state of shape {state.shape}, H needs ({2**n},)")
             if not (math.isfinite(beta) and beta > 0):
                 raise ValueError("deflation weights must be positive and finite")
         # the operators whose Pauli terms a device measures
@@ -98,30 +100,28 @@ class CostBreakdown:
     applied: tuple = field(repr=False, compare=False)  # H psi, then (C - c) psi or C psi
 
 
-def evaluate_operator_penalty(spec: CostSpec, state: StateVector) -> CostBreakdown:
+def evaluate_operator_penalty(spec: CostSpec, psi: np.ndarray) -> CostBreakdown:
     """<H> + sum_l mu_l <(C_l - c_l)^2> + deflation."""
     if spec.form is not PenaltyForm.OPERATOR:
         raise PenaltyFormError("spec uses the squared-expectation form")
-    return evaluate_cost(spec, state)
+    return evaluate_cost(spec, psi)
 
 
-def evaluate_expectation_penalty(spec: CostSpec, state: StateVector) -> CostBreakdown:
+def evaluate_expectation_penalty(spec: CostSpec, psi: np.ndarray) -> CostBreakdown:
     """<H> + sum_l mu_l (<C_l> - c_l)^2 + deflation (expectations squared after noise)."""
     if spec.form is not PenaltyForm.EXPECTATION:
         raise PenaltyFormError("spec uses the squared-operator form")
-    return evaluate_cost(spec, state)
+    return evaluate_cost(spec, psi)
 
 
-def squared_residual(constraint: PenaltyConstraint, state: StateVector) -> float:
-    """``<(C - c)^2>`` on ``state``, taken as ``||(C - c) psi||^2`` (noiseless)."""
-    psi = state.amplitudes
+def squared_residual(constraint: PenaltyConstraint, psi: np.ndarray) -> float:
+    """``<(C - c)^2>`` on ``psi``, taken as ``||(C - c) psi||^2`` (noiseless)."""
     residual = apply(constraint.observable, psi) - constraint.target * psi
     return float(np.vdot(residual, residual).real)
 
 
-def evaluate_cost(spec: CostSpec, state: StateVector) -> CostBreakdown:
-    """The penalized cost of ``state`` in the spec's form (see the module docstring)."""
-    psi = state.amplitudes
+def evaluate_cost(spec: CostSpec, psi: np.ndarray) -> CostBreakdown:
+    """The penalized cost of ``psi`` in the spec's form (see the module docstring)."""
     h_psi = apply(spec.hamiltonian, psi)
     energy = spec._depolarize(float(np.vdot(psi, h_psi).real), spec.hamiltonian)
     operator_form = spec.form is PenaltyForm.OPERATOR
@@ -136,15 +136,15 @@ def evaluate_cost(spec: CostSpec, state: StateVector) -> CostBreakdown:
         c.coefficient * (m if operator_form else (m - c.target) ** 2)
         for c, m in zip(spec.constraints, measured)
     )
-    deflation = sum(beta * overlap_sq(prev, state) for prev, beta in spec.deflation)
+    deflation = sum(beta * overlap_sq(prev, psi) for prev, beta in spec.deflation)
     total = energy + sum(penalties) + deflation
     return CostBreakdown(total, energy, penalties, deflation, measured, (h_psi, *vectors))
 
 
-def adjoint_vector(spec: CostSpec, state: StateVector, base: CostBreakdown) -> np.ndarray:
-    """``lam = A psi``, where A's expectation has the cost's gradient at ``state``.
+def adjoint_vector(spec: CostSpec, psi: np.ndarray, base: CostBreakdown) -> np.ndarray:
+    """``lam = A psi``, where A's expectation has the cost's gradient at ``psi``.
 
-    ``base`` is ``evaluate_cost(spec, state)``; its applied vectors are reused.
+    ``base`` is ``evaluate_cost(spec, psi)``; its applied vectors are reused.
     The operator form's A is ``H + sum_l mu_l (C_l - c_l)^2``, the square applied
     as (C - c) twice; the expectation form's is ``H + sum_l 2 mu_l (m_l - c_l) C_l``.
     Noise scales that part by (1 - p); deflation adds ``beta |psi_i><psi_i|``.
@@ -158,7 +158,7 @@ def adjoint_vector(spec: CostSpec, state: StateVector, base: CostBreakdown) -> n
     if spec.noise is not None:
         lam *= 1.0 - spec.noise.p
     for prev, beta in spec.deflation:
-        lam += beta * np.vdot(prev.amplitudes, state.amplitudes) * prev.amplitudes
+        lam += beta * np.vdot(prev, psi) * prev
     return lam
 
 

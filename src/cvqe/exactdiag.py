@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import EmptySector, NotCommuting, OracleTooLarge, SingleEigenvalue
 from .paulis import PauliSum, coefficient_norm, commutes
-from .simulator import StateVector
 
 ORACLE_QUBIT_LIMIT = 12
 # Eigenvalues closer than MATCH_TOL * max(1, coefficient_norm) are one level;
@@ -117,7 +116,7 @@ def dense_matrix(op: PauliSum) -> np.ndarray:
 class Spectrum:
     """Simultaneous eigenbasis of H and k observables: read-only ``energies``
     (2^n,) and ``charges`` (k, 2^n).  Each eigenvector is held once, inside
-    its block, and read as 2^n amplitudes by :meth:`vector`."""
+    its block, and read by :meth:`vector` as a fresh (2^n,) amplitude array."""
 
     energies: np.ndarray
     charges: np.ndarray
@@ -132,13 +131,13 @@ class Spectrum:
     def __len__(self) -> int:
         return self.energies.shape[0]
 
-    def vector(self, i: int) -> StateVector:
-        """Eigenvector ``i`` as a fresh :class:`StateVector`."""
+    def vector(self, i: int) -> np.ndarray:
+        """Eigenvector ``i`` as a fresh, writable (2^n,) complex amplitude array."""
         block, column = self._columns[i]
         basis, vectors = self._blocks[block]
         amplitudes = np.zeros(len(self), dtype=np.complex128)
         amplitudes[basis] = vectors[:, column]
-        return StateVector(amplitudes, len(self).bit_length() - 1)
+        return amplitudes
 
 
 @dataclass(frozen=True)

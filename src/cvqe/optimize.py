@@ -40,7 +40,7 @@ from .costs import (
     squared_residual,
 )
 from .errors import NonFiniteCost, ParamCountMismatch
-from .simulator import AnsatzConfig, StateVector, adjoint_gradient, prepare
+from .simulator import AnsatzConfig, adjoint_gradient, prepare
 
 # Strong-Wolfe line search: sufficient-decrease and curvature constants, the
 # most doublings and bisections one search may take, and its narrowest bracket.
@@ -90,7 +90,7 @@ class OptimizationRecord:
     n_meas: int
     cost_trace: list[float]
     constraint_residuals: tuple[float, ...]
-    state: StateVector  # prepared at best_params
+    state: np.ndarray  # amplitudes prepared at best_params
 
     @property
     def constraint_residual(self) -> float:
@@ -126,10 +126,10 @@ class CostEvaluator:
         self.nfev += 1
         return self._measure(prepare(self.ansatz, params))
 
-    def _measure(self, state: StateVector) -> float:
+    def _measure(self, psi: np.ndarray) -> float:
         """One measurement bundle on a prepared state: its total cost."""
         self.evals += 1
-        total = evaluate_cost(self.spec, state).total
+        total = evaluate_cost(self.spec, psi).total
         if not math.isfinite(total):
             raise NonFiniteCost(f"cost evaluated to {total}")
         return total
@@ -145,18 +145,18 @@ class CostEvaluator:
         self.n_grad_evals += 1
         if kind == "central_difference":
             rows = prepare(self.ansatz, _shifted(params, _FD_STEP))
-            totals = [self._measure(state) for state in rows]
+            totals = [self._measure(psi) for psi in rows]
             return np.array([(p - m) / (2 * _FD_STEP) for p, m in zip(totals[::2], totals[1::2])])
         # The device runs the shift rule: 2P bundles, plus the f2 chain rule's
         # base bundle.  The simulator gets the same gradient by one adjoint pass.
         self.evals += 2 * params.size + (self.spec.form is PenaltyForm.EXPECTATION)
-        state = prepare(self.ansatz, params)
-        base = evaluate_cost(self.spec, state)
+        psi = prepare(self.ansatz, params)
+        base = evaluate_cost(self.spec, psi)
         if not math.isfinite(base.total):
             raise NonFiniteCost(f"cost evaluated to {base.total}")
         with np.errstate(over="ignore", invalid="ignore"):
-            lam = adjoint_vector(self.spec, state, base)
-            grad = adjoint_gradient(self.ansatz, params, state, lam)
+            lam = adjoint_vector(self.spec, psi, base)
+            grad = adjoint_gradient(self.ansatz, params, psi, lam)
         if not np.isfinite(grad).all():
             raise NonFiniteCost(f"gradient entry evaluated to {grad[~np.isfinite(grad)][0]}")
         return grad
@@ -346,7 +346,6 @@ def _minimize_simplex(evaluator, config, x0):
 
 @dataclass
 class TrialSummary:
-    n_seeds: int
     mean_nfev: float
     mean_n_meas: float
     mean_best_cost: float
@@ -401,7 +400,6 @@ def run_trials(
     )
     best_index = best_seed([r.best_cost for r in records])
     summary = TrialSummary(
-        n_seeds=n_seeds,
         mean_nfev=float(np.mean([r.nfev for r in records])),
         mean_n_meas=float(np.mean([r.n_meas for r in records])),
         mean_best_cost=float(np.mean([r.best_cost for r in records])),

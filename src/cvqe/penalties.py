@@ -123,7 +123,10 @@ def deflation_weight(hamiltonian: PauliSum, estimates: tuple[float, float] | Non
     return 2.0 * (estimates[0] - estimates[1])
 
 
-_ORACLE_POLICIES = ("auto-exact", "auto-simple")
+# The mu policies resolve_weights knows (the cli checks spellings here); the
+# first two need the oracle's spectrum and sector ground.
+MU_POLICIES = ("auto-exact", "auto-simple", "auto-rough", "auto-ce")
+_ORACLE_POLICIES = MU_POLICIES[:2]
 
 
 def resolve_weights(
@@ -144,6 +147,8 @@ def resolve_weights(
         gap = constraints[index].min_gap
         if policy == "value":
             return argument
+        if policy not in MU_POLICIES:
+            raise ValueError(f"unknown mu policy {policy!r}")
         if policy == "auto-rough":
             mu = rough_coefficient(hamiltonian, gap)
         elif policy == "auto-ce":
@@ -151,10 +156,8 @@ def resolve_weights(
         elif policy == "auto-simple":
             spectrum, target = oracle()
             mu = simple_coefficient(target.energy, float(spectrum.energies[0]), gap)
-        elif policy == "auto-exact":
-            mu = exact_coefficient(*oracle(), constraint=index)
         else:
-            raise ValueError(f"unknown mu policy {policy!r}")
+            mu = exact_coefficient(*oracle(), constraint=index)
         if not math.isfinite(mu):
             inputs = f" from estimates {argument}" if argument else ""
             message = f"constraint '{label}': {policy} weight{inputs} is {mu}, not finite"

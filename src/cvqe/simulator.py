@@ -13,8 +13,9 @@ Conventions (fixed so results reproduce bit-for-bit):
   ``R_Y`` angle of qubit ``q`` and ``params[2nl + n + q]`` the ``R_Z``
   angle, so ``parameter_count = 2 n (depth + 1)``.
 
-:func:`prepare` takes one parameter vector or a (B, P) batch of them; a
-batch runs each fused gate over all B rows in one einsum, and every row
+A state is its complex (2^n,) amplitude array.  :func:`prepare` takes one
+parameter vector or a (B, P) batch of them, giving a (B, 2^n) batch of
+states; each fused gate runs over all B rows in one einsum, and every row
 equals its own single preparation bit for bit.  :func:`adjoint_gradient`
 differentiates ``<psi|A|psi>`` in every parameter by one backward sweep
 over the same gates.
@@ -37,30 +38,8 @@ from .errors import DimensionMismatch, InvalidProbability, ParamCountMismatch
 from .paulis import PauliSum
 
 
-@dataclass
-class StateVector:
-    """2^n complex amplitudes; bit k of the index addresses qubit k."""
-
-    amplitudes: np.ndarray
-    qubit_count: int
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2**self.qubit_count,):
-            raise DimensionMismatch(
-                f"expected {2**self.qubit_count} amplitudes, got {amps.shape}"
-            )
-        self.amplitudes = amps
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes.copy(), self.qubit_count)
-
-
-def basis_state(bits: str | int, qubit_count: int) -> StateVector:
-    """Computational basis state; string form has character k = qubit k."""
+def basis_state(bits: str | int, qubit_count: int) -> np.ndarray:
+    """Amplitudes of a computational basis state; string form has character k = qubit k."""
     if isinstance(bits, str):
         if len(bits) != qubit_count or set(bits) - {"0", "1"}:
             raise ValueError(f"reference bitstring {bits!r} invalid for n={qubit_count}")
@@ -71,7 +50,7 @@ def basis_state(bits: str | int, qubit_count: int) -> StateVector:
             raise ValueError(f"basis index {index} out of range")
     amps = np.zeros(2**qubit_count, dtype=np.complex128)
     amps[index] = 1.0
-    return StateVector(amps, qubit_count)
+    return amps
 
 
 @dataclass(frozen=True)
@@ -120,14 +99,15 @@ def _cz_chain_signs(n: int) -> np.ndarray:
     return signs
 
 
-def prepare(ansatz: AnsatzConfig, params) -> StateVector | list[StateVector]:
-    """Run the ansatz circuit on the reference state.
+def prepare(ansatz: AnsatzConfig, params) -> np.ndarray:
+    """Run the ansatz circuit on the reference state; return its amplitudes.
 
-    ``params`` is one (P,) vector, which returns one state, or a (B, P)
-    batch, which returns its B states in row order.  A batch runs the same
-    gates over every row at once, and each row comes out bit for bit equal
-    to its own single ``prepare``; this is how the optimizer prepares all
-    the shifted states of one central-difference gradient in a single call.
+    ``params`` is one (P,) vector, which returns one (2^n,) state, or a
+    (B, P) batch, which returns a (B, 2^n) array with one state per row.  A
+    batch runs the same gates over every row at once, and each row comes
+    out bit for bit equal to its own single ``prepare``; this is how the
+    optimizer prepares all the shifted states of one central-difference
+    gradient in a single call.
 
     Each layer's R_Y and R_Z on one qubit are fused into a single 2x2
     unitary (R_Z R_Y, i.e. R_Y applied first); tests pin the result to a
@@ -140,8 +120,7 @@ def prepare(ansatz: AnsatzConfig, params) -> StateVector | list[StateVector]:
     batch = params.reshape(-1, count)
     size = len(batch)
     n = ansatz.qubit_count
-    ref = basis_state(ansatz.reference_state or "0" * n, n).amplitudes
-    amps = np.tile(ref, (size, 1))
+    amps = np.tile(basis_state(ansatz.reference_state or "0" * n, n), (size, 1))
     gates = np.empty((size, n, 2, 2), dtype=np.complex128)
     for layer in range(ansatz.depth + 1):
         if layer > 0:
@@ -157,8 +136,7 @@ def prepare(ansatz: AnsatzConfig, params) -> StateVector | list[StateVector]:
         for q in range(n):
             view = amps.reshape(size, -1, 2, 2**q)
             amps = np.einsum("Bab,Bhbl->Bhal", gates[:, q], view).reshape(size, -1)
-    states = [StateVector(row, n) for row in amps]
-    return states[0] if params.ndim == 1 else states
+    return amps.reshape(params.shape[:-1] + (2**n,))
 
 
 @lru_cache(maxsize=32)
@@ -167,8 +145,8 @@ def _z_signs(n: int) -> np.ndarray:
     return 1.0 - 2.0 * ((np.arange(2**n) >> np.arange(n)[:, None]) & 1)
 
 
-def adjoint_gradient(ansatz: AnsatzConfig, params, state: StateVector, lam) -> np.ndarray:
-    """``d<psi|A|psi>/dparams`` from ``state = prepare(ansatz, params)`` and ``lam = A psi``.
+def adjoint_gradient(ansatz: AnsatzConfig, params, psi, lam) -> np.ndarray:
+    """``d<psi|A|psi>/dparams`` from ``psi = prepare(ansatz, params)`` and ``lam = A psi``.
 
     One backward sweep (Jones & Gacon, arXiv:2009.02823) un-applies each
     column from psi and lam together.  A gate exp(i t G / 2) contributes
@@ -178,7 +156,7 @@ def adjoint_gradient(ansatz: AnsatzConfig, params, state: StateVector, lam) -> n
     n = ansatz.qubit_count
     params = np.asarray(params, dtype=float)
     signs = _z_signs(n)
-    pair = np.stack([state.amplitudes, lam])
+    pair = np.stack([psi, lam])
     grad = np.empty(ansatz.parameter_count)
     for layer in reversed(range(ansatz.depth + 1)):
         ys = slice(2 * n * layer, 2 * n * layer + n)
@@ -207,17 +185,16 @@ def apply(op: PauliSum, amps: np.ndarray) -> np.ndarray:
     return np.sum(diagonals * amps[partners], axis=0)
 
 
-def expectation(op: PauliSum, state: StateVector) -> float:
+def expectation(op: PauliSum, psi: np.ndarray) -> float:
     """<psi|O|psi> for a canonical Hermitian sum; exact up to float rounding."""
-    psi = state.amplitudes
     return float(np.vdot(psi, apply(op, psi)).real)
 
 
-def overlap_sq(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2."""
-    if a.qubit_count != b.qubit_count:
-        raise DimensionMismatch("state qubit counts differ")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+def overlap_sq(a: np.ndarray, b: np.ndarray) -> float:
+    """|<a|b>|^2 of two states of one shape."""
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"state shapes differ: {a.shape} vs {b.shape}")
+    return float(abs(np.vdot(a, b)) ** 2)
 
 
 def depolarize(pure: float, op: PauliSum, noise: NoiseModel) -> float:

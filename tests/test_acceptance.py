@@ -21,7 +21,6 @@ from cvqe import (
     PauliTerm,
     PenaltyConstraint,
     PenaltyForm,
-    StateVector,
     TangentCase,
     build_heisenberg_chain,
     build_number_operator,
@@ -214,7 +213,7 @@ def test_criterion_5_noise_robustness():
     offset = depolarized_offset(clean)
     rng = np.random.default_rng(77)
     for _ in range(100):
-        state = StateVector(random_state(rng, 3), 3)
+        state = random_state(rng, 3)
         lhs = evaluate_cost(noisy, state).total
         rhs = (1 - p) * evaluate_cost(clean, state).total + p * offset
         assert abs(lhs - rhs) <= 1e-12
@@ -379,7 +378,7 @@ def test_criterion_9_numerical_hygiene():
     # state norms preserved to 1e-10
     for _ in range(200):
         params = rng.uniform(0, 2 * np.pi, ANSATZ4.parameter_count)
-        assert abs(prepare(ANSATZ4, params).norm() - 1.0) <= 1e-10
+        assert abs(np.linalg.norm(prepare(ANSATZ4, params)) - 1.0) <= 1e-10
 
     # dense-matrix oracles at n <= 5
     for _ in range(20):
@@ -394,7 +393,7 @@ def test_criterion_9_numerical_hygiene():
         trace = 2**n * op.identity_coefficient
         assert abs(trace - np.real(np.trace(dense_oracle(op)))) <= 1e-10
         vec = random_state(rng, n)
-        got = expectation(op, StateVector(vec, n))
+        got = expectation(op, vec)
         assert abs(got - np.real(np.vdot(vec, dense_oracle(op) @ vec))) <= 1e-10
 
     # parser fuzz: 10^4 random byte strings never crash, only ParseError

@@ -7,10 +7,13 @@ warning ever reaches the user.  Each draw sets one to three keys of a small
 pool of wrong types, non-finite texts, huge weights and malformed
 constraints, or from a few plausible values of that key, each either as a
 JSON config key or, where one exists and the value is text, as its flag.
-It then runs one command in-process with every warning an error.  The
-explicit examples pin a weight of 1e160 as ``--beta``, ``mu=`` and
-``--mu-values``: its gradient once overflowed the BFGS slope with a
-``RuntimeWarning`` and exit 0.
+A second property sets every key as a config key, each from its plausible
+values but one from the shared pool, and only to values of the JSON type
+the key takes, so that more of its draws get past the config checks to the
+oracle and the optimizer.  Each draw runs one command in-process with
+every warning an error.  The explicit examples pin a weight of 1e160 as
+``--beta``, ``mu=`` and ``--mu-values``: its gradient once overflowed the
+BFGS slope with a ``RuntimeWarning`` and exit 0.
 """
 
 import contextlib
@@ -18,18 +21,21 @@ import dataclasses
 import io
 import json
 import tempfile
+import typing
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cvqe.cli import ExperimentConfig, main
+from cvqe.cli import ExperimentConfig, _json_matches, main
 
 BASE = {"hamiltonian": "builtin:heisenberg:2", "max_iterations": 3, "seeds": 1, "depth": 1}
 COMMANDS = ["spectrum", "vqe", "vqd", "scan-mu", "envelope"]
 # every config key but ``out``: the CSV goes to stdout, and --out has its own tests
 KEYS = sorted(f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "out")
+HINTS = typing.get_type_hints(ExperimentConfig)
 FLAGS = {
     "hamiltonian": "--hamiltonian",
     "constraints": "--constraint",
@@ -99,6 +105,17 @@ assignments = st.lists(
 )
 
 
+def every_key_but(odd):
+    """Every key set as a config key: ``odd`` from VALUES, each other key from
+    its PLAUSIBLE values, each value of the JSON type the key's field takes."""
+
+    def fitting(key):
+        pool = VALUES if key == odd else PLAUSIBLE[key]
+        return st.sampled_from([v for v in pool if _json_matches(v, HINTS[key])])
+
+    return st.tuples(*(st.tuples(st.just(key), fitting(key), st.just(False)) for key in KEYS))
+
+
 def run(command: str, assignment) -> tuple[int, str]:
     """Run one command in-process; return its exit code and its stderr."""
     config, argv = dict(BASE), [command]
@@ -136,6 +153,18 @@ def run(command: str, assignment) -> tuple[int, str]:
 @example(command="scan-mu", assignment=[("mu_values", "1e160", True), ("constraints", ["sz=1"], True)])
 @example(command="scan-mu", assignment=[("mu_values", [HUGE], False), ("constraints", ["sz=1"], False)])
 def test_every_input_keeps_the_exit_contract(command, assignment):
+    code, err = run(command, assignment)
+    assert code in (0, 1, 2), (code, err)
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == "", err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(assignment=st.sampled_from(KEYS).flatmap(every_key_but))
+def test_one_bad_key_among_plausible_ones_keeps_the_exit_contract(command, assignment):
     code, err = run(command, assignment)
     assert code in (0, 1, 2), (code, err)
     if code:

@@ -17,7 +17,6 @@ from cvqe import (
     CostSpec,
     OptimizerConfig,
     PenaltyConstraint,
-    StateVector,
     build_heisenberg_chain,
     build_s_squared,
     coefficient_norm,
@@ -45,7 +44,7 @@ def test_expectation_matches_dense_oracle(op, seed):
     n = op.qubit_count
     psi = random_state(np.random.default_rng(seed), n)
     exact = np.vdot(psi, dense_oracle(op) @ psi).real
-    got = expectation(op, StateVector(psi, n))
+    got = expectation(op, psi)
     assert abs(got - exact) <= 1e-12 * max(1.0, coefficient_norm(op))
 
 
@@ -65,7 +64,7 @@ def test_squared_residual_matches_dense_square(op, target, seed):
     psi = random_state(np.random.default_rng(seed), n)
     shifted = dense_oracle(op) - target * np.eye(2**n)
     exact = np.vdot(psi, shifted @ shifted @ psi).real
-    got = squared_residual(PenaltyConstraint(op, target, 1.0, 1.0), StateVector(psi, n))
+    got = squared_residual(PenaltyConstraint(op, target, 1.0, 1.0), psi)
     assert abs(got - exact) <= 1e-12 * max(1.0, coefficient_norm(square_shifted(op, target)))
 
 
@@ -93,7 +92,7 @@ def test_compiled_is_built_once_per_instance():
     op = build_s_squared(4)
     assert "compiled" not in vars(op)  # lazy: nothing is built at construction
     first = op.compiled
-    expectation(op, StateVector(random_state(np.random.default_rng(0), 4), 4))
+    expectation(op, random_state(np.random.default_rng(0), 4))
     dense_matrix(op)
     assert op.compiled is first
     partners, diagonals = first
@@ -107,7 +106,7 @@ def test_compiled_is_built_once_per_instance():
 def test_squared_s2_expectation_is_pinned():
     # Exact equality pins the summation order of the grouped rows.  The
     # per-term rows they replaced gave 7.725389355535546, one ulp higher.
-    psi = StateVector(random_state(np.random.default_rng(7), 4), 4)
+    psi = random_state(np.random.default_rng(7), 4)
     value = expectation(square_shifted(build_s_squared(4), 2.0), psi)
     assert value == 7.725389355535545
     assert abs(value - 7.725389355535546) <= 1e-12

@@ -10,7 +10,6 @@ from cvqe import (
     PauliTerm,
     PenaltyConstraint,
     PenaltyForm,
-    StateVector,
     basis_state,
     build_heisenberg_chain,
     build_s_squared,
@@ -41,7 +40,7 @@ def toy_spec(mu, form=PenaltyForm.OPERATOR, noise=None, deflation=()):
 
 
 def equal_superposition():
-    return StateVector(np.array([1.0, 1.0]) / np.sqrt(2), 1)
+    return np.array([1.0, 1.0]) / np.sqrt(2)
 
 
 class TestOperatorPenalty:
@@ -65,7 +64,7 @@ class TestOperatorPenalty:
         rng = np.random.default_rng(3)
         spec = toy_spec(2.5, deflation=((basis_state("0", 1), 1.5),))
         for _ in range(10):
-            state = StateVector(random_state(rng, 1), 1)
+            state = random_state(rng, 1)
             b = evaluate_operator_penalty(spec, state)
             assert b.total == pytest.approx(
                 b.energy_part + sum(b.penalty_parts) + b.deflation_part, abs=1e-12
@@ -103,7 +102,7 @@ class TestExpectationPenalty:
         ws = np.linspace(0, 1, 7)
         totals = []
         for w in ws:
-            state = StateVector(np.array([np.sqrt(1 - w), np.sqrt(w)]), 1)
+            state = np.array([np.sqrt(1 - w), np.sqrt(w)])
             totals.append(evaluate_cost(spec, state).total)
         coeffs = np.polyfit(ws, totals, 2)
         fit = np.polyval(coeffs, ws)
@@ -167,7 +166,7 @@ class TestNoiseStructure:
         noisy = CostSpec(hamiltonian=h, constraints=(constraint,), noise=NoiseModel(p))
         offset = depolarized_offset(clean)
         for _ in range(100):
-            state = StateVector(random_state(rng, 3), 3)
+            state = random_state(rng, 3)
             lhs = evaluate_cost(noisy, state).total
             rhs = (1 - p) * evaluate_cost(clean, state).total + p * offset
             assert abs(lhs - rhs) < 1e-12
@@ -180,10 +179,10 @@ class TestNoiseStructure:
 
     def test_deflation_stays_pure_under_noise(self):
         rng = np.random.default_rng(30)
-        anchor = StateVector(random_state(rng, 1), 1)
+        anchor = random_state(rng, 1)
         spec_clean = toy_spec(1.0, deflation=((anchor, 5.0),))
         spec_noisy = toy_spec(1.0, noise=NoiseModel(0.4), deflation=((anchor, 5.0),))
-        state = StateVector(random_state(rng, 1), 1)
+        state = random_state(rng, 1)
         clean = evaluate_cost(spec_clean, state)
         noisy = evaluate_cost(spec_noisy, state)
         assert noisy.deflation_part == pytest.approx(clean.deflation_part, abs=1e-15)
@@ -195,7 +194,7 @@ class TestNoiseStructure:
         constraint = PenaltyConstraint(build_total_sz(3), 0.5, 2.0, 0.5)
         spec = CostSpec(hamiltonian=h, constraints=(constraint,))
         for _ in range(50):
-            state = StateVector(random_state(rng, 3), 3)
+            state = random_state(rng, 3)
             assert evaluate_cost(spec, state).total >= e0 - 1e-12
 
 
@@ -209,12 +208,11 @@ class TestModifiedHamiltonianEquivalence:
         deflation = tuple((spectrum.vector(i), 2.0 + i) for i in range(3))
         spec = CostSpec(hamiltonian=h, deflation=deflation)
         dense = dense_oracle(h).astype(complex)
-        for state_vec, beta in deflation:
-            v = state_vec.amplitudes
+        for v, beta in deflation:
             dense = dense + beta * np.outer(v, np.conj(v))
         for _ in range(20):
             v = random_state(rng, 3)
-            got = evaluate_cost(spec, StateVector(v, 3)).total
+            got = evaluate_cost(spec, v).total
             want = np.real(np.vdot(v, dense @ v))
             assert abs(got - want) < 1e-10
 
@@ -226,6 +224,11 @@ class TestValidation:
                 hamiltonian=build_heisenberg_chain(2),
                 constraints=(PenaltyConstraint(build_total_sz(3), 0.0, 1.0, 0.5),),
             )
+
+    def test_deflation_state_shape_mismatch(self):
+        psi_3_qubits = random_state(np.random.default_rng(2), 3)
+        with pytest.raises(DimensionMismatch, match=r"shape \(8,\), H needs \(4,\)"):
+            CostSpec(hamiltonian=build_heisenberg_chain(2), deflation=((psi_3_qubits, 1.0),))
 
     def test_nonpositive_beta_rejected(self):
         for beta in (0.0, float("nan")):

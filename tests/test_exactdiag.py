@@ -72,7 +72,7 @@ class TestSimultaneousSpectrum:
             mh, mc = dense_matrix(h), dense_matrix(c)
             spectrum = simultaneous_spectrum(h, c)
             for i, (energy, charge) in enumerate(zip(spectrum.energies, spectrum.charges[0])):
-                v = spectrum.vector(i).amplitudes
+                v = spectrum.vector(i)
                 assert np.linalg.norm(mh @ v - energy * v) < 1e-8
                 assert np.linalg.norm(mc @ v - charge * v) < 1e-8
 
@@ -82,7 +82,7 @@ class TestSimultaneousSpectrum:
             n = int(rng.integers(2, 5))
             h = random_symmetric_hamiltonian(rng, n)
             spectrum = simultaneous_spectrum(h, build_total_sz(n))
-            vectors = np.array([spectrum.vector(i).amplitudes for i in range(len(spectrum))]).T
+            vectors = np.array([spectrum.vector(i) for i in range(len(spectrum))]).T
             rebuilt = (vectors * spectrum.energies) @ vectors.conj().T
             assert np.max(np.abs(rebuilt - dense_matrix(h))) < 1e-8
 
@@ -107,7 +107,7 @@ class TestSimultaneousSpectrum:
         spectrum = simultaneous_spectrum_multi(h, [build_s_squared(4), build_total_sz(4)])
         ms2, msz = dense_matrix(build_s_squared(4)), dense_matrix(build_total_sz(4))
         for i, (s2, sz) in enumerate(spectrum.charges.T):
-            v = spectrum.vector(i).amplitudes
+            v = spectrum.vector(i)
             assert np.linalg.norm(ms2 @ v - s2 * v) < 1e-8
             assert np.linalg.norm(msz @ v - sz * v) < 1e-8
 
@@ -154,7 +154,7 @@ class TestRefinementResiduals:
     @staticmethod
     def check(h, observables):
         spectrum = simultaneous_spectrum_multi(h, observables)
-        vectors = np.array([spectrum.vector(i).amplitudes for i in range(len(spectrum))]).T
+        vectors = np.array([spectrum.vector(i) for i in range(len(spectrum))]).T
         assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(len(spectrum)))) <= 1e-10
         mats = [dense_oracle(op) for op in (h, *observables)]
         values = np.vstack([spectrum.energies, spectrum.charges])

@@ -25,7 +25,7 @@ from cvqe import (
 )
 from cvqe.errors import NonFiniteCost, ParamCountMismatch
 from cvqe.optimize import CostEvaluator, best_seed
-from cvqe.simulator import StateVector, expectation
+from cvqe.simulator import expectation
 from helpers import (
     PROPERTY,
     count_evaluator_calls,
@@ -168,7 +168,7 @@ def gradient_problems(draw, form):
         for _, obs, gap in (menu[i] for i in picks)
     )
     deflation = tuple(
-        (StateVector(random_state(rng, n), n), float(rng.uniform(0.1, 3.0)))
+        (random_state(rng, n), float(rng.uniform(0.1, 3.0)))
         for _ in range(draw(st.integers(0, 2)))
     )
     noise = draw(st.sampled_from([None, NoiseModel(0.05), NoiseModel(0.4)]))
@@ -397,8 +397,8 @@ class TestMeasurementAccounting:
         rows = record.nfev + record.n_grad_evals * rows_per_gradient(ansatz, kind)
         assert len(prepared) == rows + 1
         assert np.array_equal(prepared[-1], record.best_params)
-        final = prepare(ansatz, record.best_params).amplitudes
-        assert np.array_equal(record.state.amplitudes, final)
+        final = prepare(ansatz, record.best_params)
+        assert np.array_equal(record.state, final)
 
     def test_record_n_meas(self):
         spec = sector_spec(mu=2.0)

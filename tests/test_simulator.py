@@ -9,7 +9,6 @@ from cvqe import (
     NoiseModel,
     PauliSum,
     PauliTerm,
-    StateVector,
     basis_state,
     depolarize,
     expectation,
@@ -48,7 +47,7 @@ def circuit_matrix_oracle(ansatz: AnsatzConfig, params: np.ndarray) -> np.ndarra
                 diag[b] = -1
         cz = np.diag(diag) @ cz
     ref = ansatz.reference_state or "0" * n
-    v = basis_state(ref, n).amplitudes.copy()
+    v = basis_state(ref, n).copy()
     for layer in range(ansatz.depth + 1):
         if layer:
             v = cz @ v
@@ -63,30 +62,30 @@ def circuit_matrix_oracle(ansatz: AnsatzConfig, params: np.ndarray) -> np.ndarra
 class TestPrepare:
     def test_identity_rotations(self):
         s = prepare(AnsatzConfig(qubit_count=1, depth=0), [0.0, 0.0])
-        assert np.allclose(s.amplitudes, [1.0, 0.0])
+        assert np.allclose(s, [1.0, 0.0])
 
     def test_ry_pi_flips(self):
         s = prepare(AnsatzConfig(qubit_count=1, depth=0), [np.pi, 0.0])
-        assert np.allclose(np.abs(s.amplitudes), [0.0, 1.0], atol=1e-12)
+        assert np.allclose(np.abs(s), [0.0, 1.0], atol=1e-12)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(3)
         ansatz = AnsatzConfig(qubit_count=2, depth=2)
         for _ in range(20):
             s = prepare(ansatz, rng.uniform(0, 2 * np.pi, ansatz.parameter_count))
-            assert abs(s.norm() - 1.0) < 1e-12
+            assert abs(np.linalg.norm(s) - 1.0) < 1e-12
 
     def test_reference_state_bit_order(self):
         ansatz = AnsatzConfig(qubit_count=4, depth=0, reference_state="0011")
         s = prepare(ansatz, np.zeros(8))
-        assert s.amplitudes[0b1100] == 1.0  # qubits 2 and 3 set
+        assert s[0b1100] == 1.0  # qubits 2 and 3 set
 
     def test_matches_dense_matrix_chain(self):
         rng = np.random.default_rng(8)
         for n, depth in ((1, 0), (2, 1), (3, 2), (4, 3), (5, 1)):
             ansatz = AnsatzConfig(qubit_count=n, depth=depth)
             params = rng.uniform(0, 2 * np.pi, ansatz.parameter_count)
-            got = prepare(ansatz, params).amplitudes
+            got = prepare(ansatz, params)
             want = circuit_matrix_oracle(ansatz, params)
             assert np.max(np.abs(got - want)) < 1e-10
 
@@ -116,9 +115,12 @@ def ansatz_batches(draw):
 def test_batch_rows_equal_single_prepares(case):
     ansatz, batch = case
     states = prepare(ansatz, batch)
-    assert len(states) == len(batch)
+    assert isinstance(states, np.ndarray)
+    assert states.shape == (len(batch), 2**ansatz.qubit_count)
     for row, state in zip(batch, states):
-        assert state.amplitudes.tobytes() == prepare(ansatz, row).amplitudes.tobytes()
+        single = prepare(ansatz, row)
+        assert single.shape == state.shape
+        assert state.tobytes() == single.tobytes()
 
 
 class TestExpectation:
@@ -128,7 +130,7 @@ class TestExpectation:
 
     def test_z_on_plus(self):
         op = PauliSum((PauliTerm(1.0, ((0, "Z"),)),), 1)
-        plus = StateVector(np.array([1, 1]) / np.sqrt(2), 1)
+        plus = np.array([1, 1]) / np.sqrt(2)
         assert abs(expectation(op, plus)) < 1e-15
 
     def test_random_against_dense(self):
@@ -137,7 +139,7 @@ class TestExpectation:
             n = int(rng.integers(1, 6))
             op = random_pauli_sum(rng, n, 6)
             v = random_state(rng, n)
-            got = expectation(op, StateVector(v, n))
+            got = expectation(op, v)
             want = np.real(np.vdot(v, dense_oracle(op) @ v))
             assert abs(got - want) < 1e-10
 
@@ -146,7 +148,7 @@ class TestExpectation:
         n = 3
         a = random_pauli_sum(rng, n, 4)
         b = random_pauli_sum(rng, n, 4)
-        state = StateVector(random_state(rng, n), n)
+        state = random_state(rng, n)
         combo = a + 2.5 * b
         assert expectation(combo, state) == pytest.approx(
             expectation(a, state) + 2.5 * expectation(b, state), abs=1e-12
@@ -161,15 +163,19 @@ class TestExpectation:
 class TestOverlap:
     def test_self_overlap(self):
         rng = np.random.default_rng(6)
-        s = StateVector(random_state(rng, 2), 2)
+        s = random_state(rng, 2)
         assert overlap_sq(s, s) == pytest.approx(1.0)
 
     def test_orthogonal_basis_states(self):
         assert overlap_sq(basis_state("01", 2), basis_state("10", 2)) == 0.0
 
     def test_half_overlap(self):
-        plus = StateVector(np.array([1, 1]) / np.sqrt(2), 1)
+        plus = np.array([1, 1]) / np.sqrt(2)
         assert overlap_sq(basis_state("0", 1), plus) == pytest.approx(0.5)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="shapes differ"):
+            overlap_sq(basis_state("00", 2), basis_state("000", 3))
 
 
 class TestNoise:
@@ -181,19 +187,19 @@ class TestNoise:
     def test_p_zero_is_exact(self):
         rng = np.random.default_rng(10)
         op = random_pauli_sum(rng, 3, 5)
-        s = StateVector(random_state(rng, 3), 3)
+        s = random_state(rng, 3)
         assert depolarize(expectation(op, s), op, NoiseModel(0.0)) == expectation(op, s)
 
     def test_identity_unaffected(self):
         op = PauliSum((PauliTerm(1.0),), 2)
         rng = np.random.default_rng(14)
-        s = StateVector(random_state(rng, 2), 2)
+        s = random_state(rng, 2)
         assert depolarize(expectation(op, s), op, NoiseModel(0.7)) == pytest.approx(1.0)
 
     def test_affine_in_p(self):
         rng = np.random.default_rng(15)
         op = random_pauli_sum(rng, 3, 5)
-        s = StateVector(random_state(rng, 3), 3)
+        s = random_state(rng, 3)
         pure = expectation(op, s)
         mixed = op.identity_coefficient
         for p in (0.1, 0.3, 0.9):
