@@ -53,14 +53,17 @@ class CostSpec:
     hamiltonian: PauliSum
     constraints: tuple[PenaltyConstraint, ...] = ()
     form: PenaltyForm = PenaltyForm.OPERATOR
-    deflation: tuple[tuple[np.ndarray, float], ...] = ()  # (amplitudes, beta) pairs
+    deflation: tuple[tuple[np.ndarray, float], ...] = ()  # (amplitudes, beta), read-only copies
     noise: NoiseModel | None = None
     _measured_ops: tuple[PauliSum, ...] = field(init=False, repr=False, compare=False)
     _ops_per_eval: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        object.__setattr__(self, "deflation", tuple(self.deflation))
+        deflation = tuple((np.array(state), beta) for state, beta in self.deflation)
+        for state, _ in deflation:
+            state.flags.writeable = False
+        object.__setattr__(self, "deflation", deflation)
         n = self.hamiltonian.qubit_count
         for constraint in self.constraints:
             if constraint.observable.qubit_count != n:

@@ -10,13 +10,21 @@ compiled X-mask groups (:attr:`cvqe.paulis.PauliSum.compiled`, the same
 groups the simulator's ``apply`` reads).  No operator has an element
 between two blocks, so each block is scattered and diagonalized on its own:
 one ``eigh`` of H's block, then each observable is projected into that
-block's energy eigenbasis, and every energy cluster, singletons included,
-diagonalizes its own sub-block of it (no magic-shift tricks), so (charge,
-energy) assignments are well defined even with exact degeneracies.  The
-Heisenberg chain splits by Hamming weight: at 10 qubits its largest block
-is 252 states and its eigenvectors hold C(20, 10) = 184,756 amplitudes
-instead of 4^10.  An operator whose pattern is connected gives one block of
-2^n states, which is the dense computation itself.
+block's energy eigenbasis, and every energy cluster diagonalizes its own
+sub-block of it (no magic-shift tricks), so (charge, energy) assignments
+are well defined even with exact degeneracies.  A one-state cluster's
+sub-block is its own eigenvalue, so all of a block's one-state clusters
+take their charges ``<v|C v>`` in one vectorized step, and only the
+multi-state clusters call ``eigh``.  The Heisenberg chain splits by Hamming
+weight: at 10 qubits its largest block is 252 states and its eigenvectors
+hold C(20, 10) = 184,756 amplitudes instead of 4^10.  An operator whose
+pattern is connected gives one block of 2^n states, which is the dense
+computation itself.
+
+When H and every observable are real in the computational basis (every
+Pauli term has an even number of Y factors, as every builtin model and
+observable does), the blocks are float64 and every ``eigh`` and projection
+runs in real arithmetic; otherwise they are complex128.
 
 Two constants own the oracle's decisions: the size cap
 :data:`ORACLE_QUBIT_LIMIT` and :data:`MATCH_TOL`, which decides which
@@ -83,20 +91,28 @@ def _components(ops):
             return _partition(labels)
 
 
-def _scatter(op: PauliSum, blocks) -> list[np.ndarray]:
-    """``op``'s complex128 matrix on each block, one compiled group at a time.
+def _is_real(op: PauliSum) -> bool:
+    """Whether ``op``'s matrix is real: every term has an even number of Y factors."""
+    return not np.any(np.bitwise_count(op.x & op.z) & 1)
 
-    Groups are added in group order, so each entry is the same sum of exact
-    ``±w``/``±iw`` values, in canonical term order, as a per-term Kronecker
-    product.  An element between two blocks must be zero, and is skipped.
+
+def _scatter(op: PauliSum, blocks, real: bool = False) -> list[np.ndarray]:
+    """``op``'s matrix on each block, one compiled group at a time.
+
+    The blocks are float64 when ``real`` (the caller has checked
+    :func:`_is_real`, so every diagonal's imaginary part is exactly zero)
+    and complex128 otherwise.  Groups are added in group order, so each
+    entry is the same sum of exact ``±w``/``±iw`` values, in canonical term
+    order, as a per-term Kronecker product.  An element between two blocks
+    must be zero, and is skipped.
     """
     bases, block, local = blocks
     sizes = np.array([len(basis) for basis in bases])
     starts = np.cumsum(sizes**2) - sizes**2
     rows = starts[block] + local * sizes[block]
-    flat = np.zeros(int(np.sum(sizes**2)), dtype=np.complex128)
+    flat = np.zeros(int(np.sum(sizes**2)), dtype=np.float64 if real else np.complex128)
     partners, diagonals = op.compiled
-    for partner, diagonal in zip(partners, diagonals):
+    for partner, diagonal in zip(partners, diagonals.real if real else diagonals):
         inside = block[partner] == block
         flat[(rows + local[partner])[inside]] += diagonal[inside]
     return [flat[s : s + m * m].reshape(m, m) for s, m in zip(starts.tolist(), sizes.tolist())]
@@ -149,16 +165,50 @@ class SectorTarget:
     energy: float
 
 
-def _levels(sorted_values: np.ndarray, op: PauliSum, offset: int = 0) -> list[slice]:
-    """Slices, shifted by ``offset``, of the levels in an ascending array of ``op``'s eigenvalues.
+def _tolerance(op: PauliSum) -> float:
+    """Eigenvalues of ``op`` closer than this are one level."""
+    return MATCH_TOL * max(1.0, coefficient_norm(op))
 
-    Neighbours closer than ``MATCH_TOL * max(1, coefficient_norm(op))`` are
+
+def _levels(sorted_values: np.ndarray, tol: float, offset: int = 0) -> list[slice]:
+    """Slices, shifted by ``offset``, of the levels in an ascending array.
+
+    Neighbours closer than ``tol`` (an operator's :func:`_tolerance`) are
     one level.
     """
-    tol = MATCH_TOL * max(1.0, coefficient_norm(op))
     cuts = (np.flatnonzero(np.diff(sorted_values) > tol) + 1 + offset).tolist()
     edges = [offset, *cuts, offset + len(sorted_values)]
     return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
+
+
+def _refine(matrix, vectors, charges, singles, groups, tol):
+    """Refine one block's clusters by one observable, in place.
+
+    ``singles`` holds the columns of the block's one-state clusters and
+    ``groups`` its multi-state clusters as slices.  A one-state cluster's
+    sub-block is its own eigenvalue, so those columns take ``<v|C v>`` in
+    one step and keep their vectors; each multi-state cluster diagonalizes
+    its sub-block, which rotates its vectors and splits it into the levels
+    of this observable.  Returns the refined ``(singles, groups)``.
+    """
+    projected = matrix @ vectors
+    charges[singles] = np.einsum("ij,ij->j", vectors[:, singles].conj(), projected[:, singles]).real
+    singles, refined = list(singles), []
+    for cluster in groups:
+        sub = vectors[:, cluster]
+        values, rotation = np.linalg.eigh(sub.conj().T @ projected[:, cluster])
+        vectors[:, cluster] = sub @ rotation
+        charges[cluster] = values
+        more, split = _split(_levels(values, tol, offset=cluster.start))
+        singles += more
+        refined += split
+    return singles, refined
+
+
+def _split(levels: list[slice]) -> tuple[list[int], list[slice]]:
+    """The starts of the one-state levels, and the multi-state levels."""
+    singles = [level.start for level in levels if level.stop - level.start == 1]
+    return singles, [level for level in levels if level.stop - level.start > 1]
 
 
 def simultaneous_spectrum_multi(hamiltonian: PauliSum, observables) -> Spectrum:
@@ -179,23 +229,17 @@ def simultaneous_spectrum_multi(hamiltonian: PauliSum, observables) -> Spectrum:
     if not all(commutes(hamiltonian, obs) for obs in observables):
         raise NotCommuting("observable does not commute with the Hamiltonian")
 
+    real = all(_is_real(op) for op in (hamiltonian, *observables))
+    h_tol, tols = _tolerance(hamiltonian), [_tolerance(obs) for obs in observables]
     blocks = _components([hamiltonian, *observables])
-    energies, vectors = zip(*(np.linalg.eigh(m) for m in _scatter(hamiltonian, blocks)))
-    clusters = [_levels(values, hamiltonian) for values in energies]
+    energies, vectors = zip(*(np.linalg.eigh(m) for m in _scatter(hamiltonian, blocks, real)))
+    clusters = [_split(_levels(values, h_tol)) for values in energies]
     charges = [np.zeros((len(observables), len(values))) for values in energies]
-    for k, obs in enumerate(observables):
-        matrices = _scatter(obs, blocks)
+    for k, (obs, tol) in enumerate(zip(observables, tols)):
+        matrices = _scatter(obs, blocks, real)
         for b, block_vectors in enumerate(vectors):
-            projected = matrices[b] @ block_vectors
-            refined = []
-            for cluster in clusters[b]:
-                sub = block_vectors[:, cluster]
-                vals, rot = np.linalg.eigh(sub.conj().T @ projected[:, cluster])
-                block_vectors[:, cluster] = sub @ rot
-                charges[b][k, cluster] = vals
-                refined += _levels(vals, obs, offset=cluster.start)
-            clusters[b] = refined
-        del matrices, projected  # one observable's blocks live at a time
+            clusters[b] = _refine(matrices[b], block_vectors, charges[b][k], *clusters[b], tol)
+        del matrices  # one observable's blocks live at a time
 
     # the eigenpairs run in block order, like the concatenated bases: the pair
     # at basis index k is column local[k] of block block[k]
@@ -205,14 +249,14 @@ def simultaneous_spectrum_multi(hamiltonian: PauliSum, observables) -> Spectrum:
     energies = np.concatenate(energies)
     order = np.argsort(energies, kind="stable")
     energies, charges, columns = energies[order], np.hstack(charges)[:, order], columns[order]
-    clusters = _levels(energies, hamiltonian)
-    for k, obs in enumerate(observables):
-        refined = []
-        for cluster in clusters:
-            within = cluster.start + np.argsort(charges[k, cluster], kind="stable")
-            charges[:, cluster], columns[cluster] = charges[:, within], columns[within]
-            refined += _levels(charges[k, cluster], obs, offset=cluster.start)
-        clusters = refined
+    # level[i] numbers row i's level of H and of the observables sorted so far;
+    # lexsort is stable, so it sorts each level by charge and keeps the levels' order
+    level = np.cumsum(np.diff(energies, prepend=energies[0]) > h_tol)
+    for k, tol in enumerate(tols):
+        within = np.lexsort((charges[k], level))
+        charges, columns = charges[:, within], columns[within]
+        split = np.diff(charges[k], prepend=charges[k, 0]) > tol
+        level = np.cumsum((np.diff(level, prepend=level[0]) != 0) | split)
     return Spectrum(energies, charges, tuple(zip(bases, vectors)), columns)
 
 
@@ -252,9 +296,9 @@ def min_distinct_gap(observable: PauliSum) -> float:
     the universal one being the conservative choice.
     """
     _check_size(observable)
-    matrices = _scatter(observable, _components([observable]))
+    matrices = _scatter(observable, _components([observable]), _is_real(observable))
     values = np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in matrices]))
-    representatives = [float(np.mean(values[s])) for s in _levels(values, observable)]
+    representatives = [float(np.mean(values[s])) for s in _levels(values, _tolerance(observable))]
     if len(representatives) < 2:
         raise SingleEigenvalue("observable is proportional to the identity")
     return float(min(np.diff(representatives)))

@@ -204,11 +204,17 @@ def heisenberg_pair(n: int, i: int, j: int, coupling: float) -> list[PauliTerm]:
     return [PauliTerm(coupling / 4.0, ((i, a), (j, a))) for a in ("X", "Y", "Z")]
 
 
-def random_symmetric_hamiltonian(rng: np.random.Generator, n: int) -> PauliSum:
+def random_symmetric_hamiltonian(
+    rng: np.random.Generator, n: int, chiral: bool = False
+) -> PauliSum:
     """Random all-to-all Heisenberg couplings plus field and spin-squared terms.
 
     Commutes with total Sz, total S^2, and the number operator for any
-    draw, which makes it a generator of commuting (H, C) instances.
+    draw, which makes it a generator of commuting (H, C) instances.  With
+    ``chiral``, random Dzyaloshinskii-Moriya couplings ``D_ij (X_i Y_j -
+    Y_i X_j)`` follow: each term has one Y, so the matrix is complex, and H
+    still commutes with Sz, the number operator and the Z parity, but no
+    longer with S^2.
     """
     terms: list[PauliTerm] = []
     for i in range(n):
@@ -220,7 +226,18 @@ def random_symmetric_hamiltonian(rng: np.random.Generator, n: int) -> PauliSum:
     terms.extend(
         PauliTerm(spin2 * t.coefficient.real, t.axes) for t in build_s_squared(n).terms
     )
+    if chiral:
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = float(rng.normal())
+                terms += [PauliTerm(d, ((i, "X"), (j, "Y"))), PauliTerm(-d, ((i, "Y"), (j, "X")))]
     return PauliSum(tuple(terms), n)
+
+
+def total_sy(n: int) -> PauliSum:
+    """Total S_y: one Y per term, so a complex matrix that commutes with any
+    spin-rotation-invariant H, such as the Heisenberg chain."""
+    return PauliSum(tuple(PauliTerm(0.5, ((q, "Y"),)) for q in range(n)), n)
 
 
 def observable_menu(n: int):

@@ -7,10 +7,11 @@ warning ever reaches the user.  Each draw sets one to three keys of a small
 pool of wrong types, non-finite texts, huge weights and malformed
 constraints, or from a few plausible values of that key, each either as a
 JSON config key or, where one exists and the value is text, as its flag.
-A second property sets every key as a config key, each from its plausible
-values but one from the shared pool, and only to values of the JSON type
-the key takes, so that more of its draws get past the config checks to the
-oracle and the optimizer.  Each draw runs one command in-process with
+A second property sets every key as a config key, each from a pool of
+values that every command accepts together but one from the shared pool,
+and only to values of the JSON type the key takes, so that the one key
+from the shared pool decides whether a draw gets past the config checks to
+the oracle and the optimizer.  Each draw runs one command in-process with
 every warning an error.  The explicit examples pin a weight of 1e160 as
 ``--beta``, ``mu=`` and ``--mu-values``: its gradient once overflowed the
 BFGS slope with a ``RuntimeWarning`` and exit 0.
@@ -90,6 +91,35 @@ PLAUSIBLE = {
     "retry_on_miss": [1, 2],
 }  # fmt: skip
 assert sorted(PLAUSIBLE) == KEYS
+# Values of each key, of the JSON type its field takes, that every command
+# accepts in any mix with each other: with every other key from here, the
+# one key from VALUES decides the draw.
+VALID = {
+    "hamiltonian": ["builtin:heisenberg:2"],
+    "constraints": [
+        ["sz=1"], ["sz=0:mu=auto-exact"], ["s2=2", "sz=1"], ["zparity=1:mu=auto-rough"],
+        ["sz=1:mu=auto-ce(0.25,-0.75)"], ["number=1:mu=0.5"],
+        [{"observable": "sz", "c": 1, "mu": 2.0}],
+        [{"observable": "sz", "c": 1, "mu": "auto-ce", "ce_estimates": [0.25, -0.75]}],
+    ],
+    "form": ["f1", "f2"],
+    "depth": [0, 1, 2],
+    "reference_state": ["01", "11"],
+    "optimizer": ["qn", "simplex"],
+    "gradient": ["parameter_shift", "central_difference"],
+    "grad_tol": [1e-3, 1e-8],
+    "max_iterations": [1, 2],
+    "seeds": [1, 2],
+    "master_seed": [0, 7],
+    "noise_p": [0.0, 0.1],
+    "mu_values": [[1.0], [0.1, 10.0]],
+    "levels": [1, 2],
+    "beta": ["auto-rough", "auto-ce", 0.5, "1,2"],
+    "ce_estimates": [[0.25, -0.75], [0.5, -0.75]],
+    "retry_on_miss": [0, 1],
+}  # fmt: skip
+assert sorted(VALID) == KEYS
+assert all(_json_matches(v, HINTS[key]) for key, values in VALID.items() for v in values)
 
 
 def assignment_for(key):
@@ -106,12 +136,13 @@ assignments = st.lists(
 
 
 def every_key_but(odd):
-    """Every key set as a config key: ``odd`` from VALUES, each other key from
-    its PLAUSIBLE values, each value of the JSON type the key's field takes."""
+    """Every key set as a config key: ``odd`` from the VALUES of the JSON type
+    its field takes, each other key from its VALID values."""
 
     def fitting(key):
-        pool = VALUES if key == odd else PLAUSIBLE[key]
-        return st.sampled_from([v for v in pool if _json_matches(v, HINTS[key])])
+        if key != odd:
+            return st.sampled_from(VALID[key])
+        return st.sampled_from([v for v in VALUES if _json_matches(v, HINTS[key])])
 
     return st.tuples(*(st.tuples(st.just(key), fitting(key), st.just(False)) for key in KEYS))
 

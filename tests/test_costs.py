@@ -230,6 +230,15 @@ class TestValidation:
         with pytest.raises(DimensionMismatch, match=r"shape \(8,\), H needs \(4,\)"):
             CostSpec(hamiltonian=build_heisenberg_chain(2), deflation=((psi_3_qubits, 1.0),))
 
+    def test_deflation_state_is_copied(self):
+        prev = basis_state("01", 2)
+        spec = CostSpec(build_heisenberg_chain(2), deflation=((prev, 2.0),))
+        before = evaluate_cost(spec, basis_state("01", 2)).total
+        prev[:] = 0
+        assert evaluate_cost(spec, basis_state("01", 2)).total == before == 1.75
+        with pytest.raises(ValueError, match="read-only"):
+            spec.deflation[0][0][:] = 0
+
     def test_nonpositive_beta_rejected(self):
         for beta in (0.0, float("nan")):
             with pytest.raises(ValueError):

@@ -35,6 +35,7 @@ from helpers import (
     observable_menu,
     pauli_sums,
     random_symmetric_hamiltonian,
+    total_sy,
 )
 
 
@@ -145,7 +146,9 @@ class TestLevels:
     def test_matches_a_neighbour_by_neighbour_loop(self, values, offset):
         values = np.sort(np.array(values))
         op = build_total_sz(2)  # coefficient norm 1: the tolerance is MATCH_TOL itself
-        assert exactdiag._levels(values, op, offset) == dense_levels(values, op, offset)
+        tol = exactdiag._tolerance(op)
+        assert tol == exactdiag.MATCH_TOL
+        assert exactdiag._levels(values, tol, offset) == dense_levels(values, op, offset)
 
 
 class TestRefinementResiduals:
@@ -184,6 +187,25 @@ class TestRefinementResiduals:
             b[0] - a[0] > 1e-8 or b[1] - a[1] > 1e-8 for a, b in zip(pairs, pairs[1:])
         )
         self.check(h, [sz, build_s_squared(6)])
+
+    def test_chiral_hamiltonians(self):
+        # complex H: the refinement runs on complex blocks, with and without
+        # the field that splits its degenerate levels
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            n = int(rng.integers(2, 6))
+            menu = [op for name, op, _ in observable_menu(n) if name != "s2"]
+            picks = rng.choice(len(menu), size=2, replace=False)
+            h = random_symmetric_hamiltonian(rng, n, chiral=True)
+            fieldless = PauliSum(tuple(t for t in h.terms if len(t.axes) != 1), n)
+            for hamiltonian in (h, fieldless):
+                self.check(hamiltonian, [menu[i] for i in picks])
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_complex_observable_splits_heisenberg_multiplets(self, n):
+        # every S^2 multiplet of the chain is one energy cluster, which the
+        # complex S_y must rotate into its own eigenbasis
+        self.check(build_heisenberg_chain(n), [total_sy(n)])
 
 
 def quantized(charges):
@@ -263,11 +285,66 @@ class TestBlockedAgainstFullEigh:
         picks = rng.choice(len(menu), size=count, replace=False)
         self.check(random_symmetric_hamiltonian(rng, n), [menu[i][1] for i in picks])
 
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), count=st.integers(1, 3))
+    def test_random_chiral_hamiltonians(self, seed, n, count):
+        rng = np.random.default_rng(seed)
+        menu = [op for name, op, _ in observable_menu(n) if name != "s2"]
+        picks = rng.choice(len(menu), size=count, replace=False)
+        self.check(random_symmetric_hamiltonian(rng, n, chiral=True), [menu[i] for i in picks])
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_complex_observable_of_the_heisenberg_chain(self, n):
+        # S_y links neighbouring Hamming weights: one block of 2^n states
+        self.check(build_heisenberg_chain(n), [total_sy(n)], blocks=1)
+
     def test_heisenberg_ten_stores_only_its_blocks(self):
         # Hamming-weight blocks hold sum_w C(10, w)^2 = C(20, 10) amplitudes, not 4^10
         spectrum = simultaneous_spectrum(build_heisenberg_chain(10), build_total_sz(10))
         assert len(spectrum._blocks) == 11
         assert sum(vectors.size for _, vectors in spectrum._blocks) == 184_756
+
+
+class TestRealBlocks:
+    """Real operators take float64 blocks; one complex operator makes them all complex."""
+
+    def test_builtin_operators_are_real(self):
+        n = 4
+        ops = [build(n) for build in BUILTIN_HAMILTONIANS.values()]
+        assert all(exactdiag._is_real(op) for op in ops + [op for _, op, _ in observable_menu(n)])
+        assert not exactdiag._is_real(total_sy(n))
+        chiral = random_symmetric_hamiltonian(np.random.default_rng(0), n, chiral=True)
+        assert not exactdiag._is_real(chiral)
+
+    def test_real_blocks_give_complex_vectors(self):
+        spectrum = simultaneous_spectrum_multi(
+            build_heisenberg_chain(4), [build_total_sz(4), build_s_squared(4)]
+        )
+        assert all(vectors.dtype == np.float64 for _, vectors in spectrum._blocks)
+        for i in range(len(spectrum)):
+            vector = spectrum.vector(i)
+            assert vector.dtype == np.complex128 and vector.shape == (16,)
+            assert vector.flags.writeable
+
+    def test_one_complex_operator_makes_every_block_complex(self):
+        h = random_symmetric_hamiltonian(np.random.default_rng(1), 4, chiral=True)
+        for hamiltonian, observables in [
+            (h, [build_total_sz(4)]),
+            (build_heisenberg_chain(4), [total_sy(4)]),
+        ]:
+            spectrum = simultaneous_spectrum_multi(hamiltonian, observables)
+            assert all(vectors.dtype == np.complex128 for _, vectors in spectrum._blocks)
+
+    def test_singletons_call_no_eigh(self, monkeypatch):
+        # Sz splits every level of the 6-site chain into singletons: the only
+        # eigh calls are the 7 Hamming-weight blocks of H
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        spectrum = simultaneous_spectrum_multi(
+            build_heisenberg_chain(6), [build_total_sz(6), build_s_squared(6)]
+        )
+        assert len(calls) == len(spectrum._blocks) == 7
 
 
 class TestSectorGround:
@@ -337,6 +414,14 @@ class TestMinDistinctGap:
                 min_distinct_gap(op)
         else:
             assert abs(min_distinct_gap(op) - expected) <= 1e-12
+
+    def test_complex_observables_match_the_full_eigvalsh(self):
+        # S_y's matrix is purely imaginary: read as real it would be zero
+        rng = np.random.default_rng(3)
+        for n in range(2, 7):
+            assert min_distinct_gap(total_sy(n)) == pytest.approx(1.0)
+            chiral = random_symmetric_hamiltonian(rng, n, chiral=True)
+            assert abs(min_distinct_gap(chiral) - dense_gap(chiral)) <= 1e-12
 
     def test_twelve_qubits_build_no_dense_matrix(self):
         # S^2 splits by Hamming weight: its blocks hold C(24, 12) entries, 43 MB,
