@@ -19,8 +19,12 @@ the minimizers themselves count nothing.
 
 The ledger charges a shift-rule gradient the device's 2P bundles (2P + 1
 with the chain rule's base point), while the simulator computes the same
-gradient by one adjoint pass over a single prepared state.  A
-central-difference gradient prepares its 2P shifted states in one batched
+gradient by one adjoint pass over a single prepared state.  That is the
+state ``value`` measured at the same point whenever there was one: the
+line search asks for the gradient only at points whose value it just
+took, so the evaluator keeps its last single point (state and breakdown,
+read-only) and prepares each point once.  A central-difference gradient
+prepares its 2P shifted states in one batched
 :func:`~cvqe.simulator.prepare` call and charges one bundle per row.
 """
 
@@ -32,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import (
+    CostBreakdown,
     CostSpec,
     PenaltyForm,
     adjoint_vector,
@@ -111,6 +116,10 @@ class CostEvaluator:
     and one adjoint pass (:func:`~cvqe.costs.adjoint_vector`, then
     :func:`~cvqe.simulator.adjoint_gradient`); it is charged the bundles a
     device would measure, so the counts do not depend on how it is computed.
+    The state is the one ``value`` measured at the same parameters when
+    they were the last single point asked for (the same float64 bytes):
+    the evaluator keeps that one point, and the shift rule reuses its state
+    and :class:`~cvqe.costs.CostBreakdown` instead of preparing again.
     """
 
     def __init__(self, spec: CostSpec, ansatz: AnsatzConfig):
@@ -121,25 +130,16 @@ class CostEvaluator:
         self.nfev = 0
         self.n_grad_evals = 0
         self.evals = 0
+        self._last = None  # (params bytes, state, breakdown) of the last single point
 
     def value(self, params) -> float:
         self.nfev += 1
-        return self._measure(prepare(self.ansatz, params))
-
-    def _measure(self, psi: np.ndarray) -> float:
-        """One measurement bundle on a prepared state: its total cost."""
+        _, base = self._point(params)
         self.evals += 1
-        total = evaluate_cost(self.spec, psi).total
-        if not math.isfinite(total):
-            raise NonFiniteCost(f"cost evaluated to {total}")
-        return total
+        return _finite(base.total)
 
     def gradient(self, params, kind: str = "parameter_shift"):
-        params = np.asarray(params, dtype=float)
-        if params.shape != (self.ansatz.parameter_count,):
-            raise ParamCountMismatch(
-                f"expected {self.ansatz.parameter_count} parameters, got {params.shape}"
-            )
+        params = self._check(params)
         if kind not in GRADIENT_RULES:
             raise ValueError(f"unknown gradient kind {kind!r}")
         self.n_grad_evals += 1
@@ -150,16 +150,50 @@ class CostEvaluator:
         # The device runs the shift rule: 2P bundles, plus the f2 chain rule's
         # base bundle.  The simulator gets the same gradient by one adjoint pass.
         self.evals += 2 * params.size + (self.spec.form is PenaltyForm.EXPECTATION)
-        psi = prepare(self.ansatz, params)
-        base = evaluate_cost(self.spec, psi)
-        if not math.isfinite(base.total):
-            raise NonFiniteCost(f"cost evaluated to {base.total}")
+        psi, base = self._point(params)
+        _finite(base.total)
         with np.errstate(over="ignore", invalid="ignore"):
             lam = adjoint_vector(self.spec, psi, base)
             grad = adjoint_gradient(self.ansatz, params, psi, lam)
         if not np.isfinite(grad).all():
             raise NonFiniteCost(f"gradient entry evaluated to {grad[~np.isfinite(grad)][0]}")
         return grad
+
+    def _point(self, params) -> tuple[np.ndarray, CostBreakdown]:
+        """The read-only state and breakdown at ``params``; charges nothing.
+
+        The last single point is kept, so a gradient at the point ``value``
+        just measured (as every accepted line-search step has) prepares and
+        measures nothing again.
+        """
+        params = self._check(params)
+        key = params.tobytes()
+        if self._last is None or self._last[0] != key:
+            psi = prepare(self.ansatz, params)
+            base = evaluate_cost(self.spec, psi)
+            for array in (psi, *base.applied):
+                array.flags.writeable = False
+            self._last = (key, psi, base)
+        return self._last[1:]
+
+    def _measure(self, psi: np.ndarray) -> float:
+        """One measurement bundle on a prepared state: its total cost."""
+        self.evals += 1
+        return _finite(evaluate_cost(self.spec, psi).total)
+
+    def _check(self, params) -> np.ndarray:
+        params = np.asarray(params, dtype=float)
+        if params.shape != (self.ansatz.parameter_count,):
+            raise ParamCountMismatch(
+                f"expected {self.ansatz.parameter_count} parameters, got {params.shape}"
+            )
+        return params
+
+
+def _finite(total: float) -> float:
+    if not math.isfinite(total):
+        raise NonFiniteCost(f"cost evaluated to {total}")
+    return total
 
 
 def _shifted(params, step):
@@ -188,7 +222,7 @@ def minimize(
     evaluator = CostEvaluator(spec, ansatz)
     minimizer = _minimize_bfgs if config.method == "quasi_newton" else _minimize_simplex
     x, f, trace = minimizer(evaluator, config, x0)
-    state = prepare(ansatz, x)
+    state, _ = evaluator._point(x)
     return OptimizationRecord(
         best_params=x,
         best_cost=float(f),

@@ -15,10 +15,15 @@ Conventions (fixed so results reproduce bit-for-bit):
 
 A state is its complex (2^n,) amplitude array.  :func:`prepare` takes one
 parameter vector or a (B, P) batch of them, giving a (B, 2^n) batch of
-states; each fused gate runs over all B rows in one einsum, and every row
-equals its own single preparation bit for bit.  :func:`adjoint_gradient`
-differentiates ``<psi|A|psi>`` in every parameter by one backward sweep
-over the same gates.
+states, and every row equals its own single preparation bit for bit.  A
+column is (prod_q R_Z,q)(prod_q R_Y,q).  R_Y is real, so each one is a
+real 2x2 matmul over all B rows on the float64 view of the amplitudes;
+the R_Z's are diagonal, so the whole R_Z column, with the CZ chain that
+follows it, is one elementwise phase ``exp(0.5i sum_q t_q z_q)``.
+:func:`adjoint_gradient` differentiates ``<psi|A|psi>`` in every parameter
+by one backward sweep that un-applies the same two steps.  The R_Y's of
+one column commute, so all n of their derivatives are read at one state
+from one gather of qubit-flipped amplitudes.
 
 :func:`apply` computes ``O|psi>`` from the X-mask groups each operator
 compiles once (:attr:`cvqe.paulis.PauliSum.compiled`), and
@@ -89,14 +94,68 @@ class NoiseModel:
             raise InvalidProbability(f"depolarizing probability {self.p} outside [0, 1)")
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """Lock a cached lookup table: every later caller shares this one array."""
+    table.flags.writeable = False
+    return table
+
+
 @lru_cache(maxsize=32)
 def _cz_chain_signs(n: int) -> np.ndarray:
+    """(2^n,): the diagonal of the CZ chain on (i, i+1), i = 0..n-2."""
     idx = np.arange(2**n)
     signs = np.ones(2**n)
     for i in range(n - 1):
         both = ((idx >> i) & (idx >> (i + 1)) & 1).astype(bool)
         signs[both] *= -1.0
-    return signs
+    return _read_only(signs)
+
+
+@lru_cache(maxsize=32)
+def _z_signs(n: int) -> np.ndarray:
+    """(n, 2^n): row q is the eigenvalue of Z_q on each basis state."""
+    return _read_only(1.0 - 2.0 * ((np.arange(2**n) >> np.arange(n)[:, None]) & 1))
+
+
+@lru_cache(maxsize=32)
+def _flips(n: int) -> np.ndarray:
+    """(n, 2^n): row q maps each basis index to its partner with qubit q flipped."""
+    return _read_only(np.arange(2**n) ^ (1 << np.arange(n))[:, None])
+
+
+def _columns(ansatz: AnsatzConfig, batch: np.ndarray, sign: float):
+    """The rotation columns of every row of a (B, P) batch, all layers at once.
+
+    Returns ``(ry, diagonals)``: ``ry[b, l, q]`` is the real 2x2 matrix of
+    ``R_Y(sign t)`` on qubit q in layer l, and ``diagonals[b, l]`` the
+    (2^n,) diagonal of that layer's R_Z column followed by the next layer's
+    CZ chain (both diagonal, so they commute), raised to ``sign``.
+    ``sign = -1`` gives the inverses that the adjoint sweep un-applies.
+    """
+    n = ansatz.qubit_count
+    angles = batch.reshape(len(batch), ansatz.depth + 1, 2, n)
+    half = (0.5 * sign) * angles[:, :, 0]
+    ry = np.empty(half.shape + (2, 2))
+    ry[..., 0, 0] = ry[..., 1, 1] = np.cos(half)
+    ry[..., 0, 1] = np.sin(half)
+    ry[..., 1, 0] = -ry[..., 0, 1]
+    diagonals = np.exp((0.5j * sign) * (angles[:, :, 1] @ _z_signs(n)))
+    diagonals[:, :-1] *= _cz_chain_signs(n)
+    return ry, diagonals
+
+
+def _rotate_y(amps: np.ndarray, ry: np.ndarray) -> np.ndarray:
+    """Apply ``ry[b, q]`` to qubit q of row b of a (B, 2^n) batch, for every q.
+
+    R_Y is real, so each gate is one real 2x2 matmul on the float64 view of
+    the amplitudes: bit q of a complex index is bit q + 1 of its float
+    index, whose lower bits run over the qubits below q and (re, im).
+    """
+    size, dim = amps.shape
+    floats = amps.view(np.float64)
+    for q in range(ry.shape[1]):
+        floats = np.matmul(ry[:, None, q], floats.reshape(size, -1, 2, 2 ** (q + 1)))
+    return floats.reshape(size, 2 * dim).view(np.complex128)
 
 
 def prepare(ansatz: AnsatzConfig, params) -> np.ndarray:
@@ -109,40 +168,24 @@ def prepare(ansatz: AnsatzConfig, params) -> np.ndarray:
     optimizer prepares all the shifted states of one central-difference
     gradient in a single call.
 
-    Each layer's R_Y and R_Z on one qubit are fused into a single 2x2
-    unitary (R_Z R_Y, i.e. R_Y applied first); tests pin the result to a
-    gate-by-gate dense matrix chain at 1e-10.
+    A column is (prod_q R_Z,q)(prod_q R_Y,q).  Each R_Y is one real 2x2
+    matmul per qubit on the float64 view of the amplitudes, and the whole
+    R_Z column, with the next CZ chain, is one diagonal phase
+    ``exp(0.5i sum_q t_q z_q)``; tests pin the result to a gate-by-gate
+    dense matrix chain at 1e-10.
     """
     params = np.asarray(params, dtype=float)
     count = ansatz.parameter_count
     if params.ndim not in (1, 2) or params.shape[-1] != count:
         raise ParamCountMismatch(f"expected {count} parameters per row, got {params.shape}")
     batch = params.reshape(-1, count)
-    size = len(batch)
     n = ansatz.qubit_count
-    amps = np.tile(basis_state(ansatz.reference_state or "0" * n, n), (size, 1))
-    gates = np.empty((size, n, 2, 2), dtype=np.complex128)
+    ry, diagonals = _columns(ansatz, batch, 1.0)
+    amps = np.tile(basis_state(ansatz.reference_state or "0" * n, n), (len(batch), 1))
     for layer in range(ansatz.depth + 1):
-        if layer > 0:
-            amps *= _cz_chain_signs(n)
-        base = 2 * n * layer
-        cos = np.cos(0.5 * batch[:, base : base + n])
-        sin = np.sin(0.5 * batch[:, base : base + n])
-        phase = np.exp(0.5j * batch[:, base + n : base + 2 * n])
-        gates[:, :, 0, 0] = phase * cos
-        gates[:, :, 0, 1] = phase * sin
-        gates[:, :, 1, 0] = -np.conj(phase) * sin
-        gates[:, :, 1, 1] = np.conj(phase) * cos
-        for q in range(n):
-            view = amps.reshape(size, -1, 2, 2**q)
-            amps = np.einsum("Bab,Bhbl->Bhal", gates[:, q], view).reshape(size, -1)
+        amps = _rotate_y(amps, ry[:, layer])
+        amps *= diagonals[:, layer]
     return amps.reshape(params.shape[:-1] + (2**n,))
-
-
-@lru_cache(maxsize=32)
-def _z_signs(n: int) -> np.ndarray:
-    """(n, 2^n): row q is the eigenvalue of Z_q on each basis state."""
-    return 1.0 - 2.0 * ((np.arange(2**n) >> np.arange(n)[:, None]) & 1)
 
 
 def adjoint_gradient(ansatz: AnsatzConfig, params, psi, lam) -> np.ndarray:
@@ -150,30 +193,25 @@ def adjoint_gradient(ansatz: AnsatzConfig, params, psi, lam) -> np.ndarray:
 
     One backward sweep (Jones & Gacon, arXiv:2009.02823) un-applies each
     column from psi and lam together.  A gate exp(i t G / 2) contributes
-    ``Re <lam|i G phi>`` at the state phi just after it: -Im<lam|Z_q phi>
-    for the R_Z's, then, with the R_Z's un-applied, Re<lam|iY_q phi>.
+    ``Re <lam|i G phi>`` at the state phi just after it.  For the R_Z's
+    that is -Im<lam|Z_q phi>, read through the next CZ chain, which
+    commutes with Z_q.  With the R_Z's un-applied, the R_Y's of a column
+    commute, so each one's derivative can be read after all of them:
+    ``(i Y_q phi)[k] = z_q(k) phi[k ^ 2^q]``, one gather for all n.
     """
     n = ansatz.qubit_count
     params = np.asarray(params, dtype=float)
     signs = _z_signs(n)
+    ry, diagonals = _columns(ansatz, params[None], -1.0)
     pair = np.stack([psi, lam])
     grad = np.empty(ansatz.parameter_count)
     for layer in reversed(range(ansatz.depth + 1)):
         ys = slice(2 * n * layer, 2 * n * layer + n)
         zs = slice(ys.stop, ys.stop + n)
         grad[zs] = -(signs @ (pair[1].conj() * pair[0])).imag
-        pair *= np.exp(-0.5j * (params[zs] @ signs))
-        cos, sin = np.cos(0.5 * params[ys]), np.sin(0.5 * params[ys])
-        for q in range(n):
-            view = pair.reshape(2, -1, 2, 2**q)
-            low, high = view[:, :, 0], view[:, :, 1]
-            grad[ys.start + q] = np.vdot(low[1], high[0]).real - np.vdot(high[1], low[0]).real
-            # un-apply R_Y = [[cos, sin], [-sin, cos]] on qubit q
-            unrotated = cos[q] * low - sin[q] * high
-            view[:, :, 1] = sin[q] * low + cos[q] * high
-            view[:, :, 0] = unrotated
-        if layer > 0:
-            pair *= _cz_chain_signs(n)  # the CZ chain is its own inverse
+        pair *= diagonals[0, layer]
+        grad[ys] = ((signs * pair[0][_flips(n)]) @ pair[1].conj()).real
+        pair = _rotate_y(pair, ry[:, layer])
     return grad
 
 

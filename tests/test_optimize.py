@@ -192,6 +192,19 @@ class TestAdjointGradient:
         assert agree(got, one_at_a_time_gradient(spec, ansatz, params))
 
     @pytest.mark.parametrize("form", list(PenaltyForm))
+    @pytest.mark.parametrize("n, depth", [(10, 1), (12, 1)])
+    def test_matches_the_reference_at_the_wide_reshapes(self, n, depth, form):
+        # n <= 5 in the property; here the high qubits' float64 views span
+        # thousands of amplitudes and the low ones hundreds of 2x2 blocks
+        ansatz = AnsatzConfig(qubit_count=n, depth=depth)
+        rng = np.random.default_rng(n)
+        constraint = PenaltyConstraint(build_total_sz(n), 1.0, 1.7, 0.5)
+        spec = CostSpec(build_heisenberg_chain(n), (constraint,), form)
+        params = rng.uniform(0, 2 * np.pi, ansatz.parameter_count)
+        got = CostEvaluator(spec, ansatz).gradient(params)
+        assert agree(got, one_at_a_time_gradient(spec, ansatz, params))
+
+    @pytest.mark.parametrize("form", list(PenaltyForm))
     def test_nan_parameter_raises(self, form):
         ansatz = AnsatzConfig(qubit_count=2, depth=1)
         params = np.full(ansatz.parameter_count, 0.3)
@@ -308,33 +321,65 @@ class TestMinimize:
             assert record.n_meas == units * pauli_ops_per_eval(spec)
 
 
-def prepared_rows(params) -> np.ndarray:
-    """The parameter rows of one ``prepare`` call: 1 for a vector, B for a batch."""
-    return np.array(params, dtype=float, ndmin=2)
-
-
 @pytest.fixture
 def prepared(monkeypatch):
-    """Parameters of every state the optimize module prepares, row by row, in order."""
-    rows = []
+    """Parameters of every ``prepare`` call the optimize module makes, in order:
+    a (P,) vector for one state, a (B, P) batch for B."""
+    params_seen = []
 
     def counting_prepare(ansatz, params):
-        rows.extend(prepared_rows(params))
+        params_seen.append(np.array(params, dtype=float))
         return prepare(ansatz, params)
 
     monkeypatch.setattr(optimize_module, "prepare", counting_prepare)
-    return rows
+    return params_seen
+
+
+def row_count(prepared) -> int:
+    """The states those calls prepared: one per vector, B per batch."""
+    return sum(len(np.array(params, ndmin=2)) for params in prepared)
+
+
+@pytest.fixture
+def visited(monkeypatch):
+    """``(rule, params bytes)`` of every ``value`` (rule None) and ``gradient`` call, in order."""
+    log = []
+
+    def spy(method, takes_rule):
+        def logged(self, params, *args, **kwargs):
+            rule = (args[0] if args else kwargs.get("kind", "parameter_shift")) if takes_rule else None
+            log.append((rule, np.asarray(params, dtype=float).tobytes()))
+            return method(self, params, *args, **kwargs)
+
+        return logged
+
+    monkeypatch.setattr(CostEvaluator, "value", spy(CostEvaluator.value, False))
+    monkeypatch.setattr(CostEvaluator, "gradient", spy(CostEvaluator.gradient, True))
+    return log
+
+
+def expected_rows(visited, ansatz, final) -> int:
+    """States the simulator prepares for the calls in ``visited`` and a final state at ``final``.
+
+    A value and a shift-rule gradient each need the state at their point,
+    which the evaluator keeps for the last single point: one prepare per
+    distinct consecutive point.  A central-difference gradient prepares its
+    2P shifted rows and leaves the kept point alone.  The final state is
+    prepared unless it is the kept point.
+    """
+    rows, kept = 0, None
+    for rule, key in visited:
+        if rule == "central_difference":
+            rows += 2 * ansatz.parameter_count
+        elif key != kept:
+            rows, kept = rows + 1, key
+    return rows + (np.asarray(final, dtype=float).tobytes() != kept)
 
 
 def units_per_gradient(spec, ansatz, kind="parameter_shift") -> int:
     """The device's bundles per gradient: 2P, plus the f2 shift rule's base."""
     base = spec.form is PenaltyForm.EXPECTATION and kind == "parameter_shift"
     return 2 * ansatz.parameter_count + base
-
-
-def rows_per_gradient(ansatz, kind) -> int:
-    """States the simulator prepares per gradient: one for the adjoint pass."""
-    return 1 if kind == "parameter_shift" else 2 * ansatz.parameter_count
 
 
 @pytest.fixture
@@ -355,13 +400,15 @@ class TestMeasurementAccounting:
         # and the gradients' bundles are not counted as values
         assert evaluator.evals == 1 + 4 * ansatz.parameter_count
         assert (evaluator.nfev, evaluator.n_grad_evals) == (1, 2)
-        assert len(prepared) == 1 + 1 + 2 * ansatz.parameter_count
+        # the shift rule reads the state value prepared at x
+        assert row_count(prepared) == 1 + 2 * ansatz.parameter_count
 
-    def test_n_meas_identity_end_to_end(self, calls, prepared):
+    def test_n_meas_identity_end_to_end(self, calls, prepared, visited):
         ansatz = AnsatzConfig(qubit_count=2, depth=1)
         for form in (PenaltyForm.OPERATOR, PenaltyForm.EXPECTATION):
             calls.update(value=0, gradient=0)
             prepared.clear()
+            visited.clear()
             spec = sector_spec(mu=2.0, form=form)
             x = np.full(ansatz.parameter_count, 0.25)
             record = minimize(spec, ansatz, OptimizerConfig(max_iterations=1), x)
@@ -371,8 +418,11 @@ class TestMeasurementAccounting:
             # squared-expectation chain rule
             units = calls["value"] + calls["gradient"] * units_per_gradient(spec, ansatz)
             assert record.n_meas == units * pauli_ops_per_eval(spec)
-            # one row per value and per gradient, and the record's final state
-            assert len(prepared) == calls["value"] + calls["gradient"] + 1
+            # one row per distinct consecutive point, and the final state
+            # unless it is the kept point; at least the first gradient reuses
+            rows = expected_rows(visited, ansatz, record.best_params)
+            assert row_count(prepared) == rows
+            assert rows < calls["value"] + calls["gradient"] + 1
 
     @pytest.mark.parametrize("form", [PenaltyForm.OPERATOR, PenaltyForm.EXPECTATION])
     @pytest.mark.parametrize(
@@ -383,7 +433,7 @@ class TestMeasurementAccounting:
             ("simplex", "parameter_shift"),
         ],
     )
-    def test_record_identity(self, form, method, kind, calls, prepared):
+    def test_record_identity(self, form, method, kind, calls, prepared, visited):
         spec = sector_spec(mu=2.0, form=form)
         ansatz = AnsatzConfig(qubit_count=2, depth=1)
         config = OptimizerConfig(method=method, gradient=kind, max_iterations=20)
@@ -393,10 +443,10 @@ class TestMeasurementAccounting:
         assert record.n_meas == units * pauli_ops_per_eval(spec)
         assert record.nfev > 0
         assert (record.n_grad_evals > 0) == (method == "quasi_newton")
-        # the rows prepared, plus one final state, which the record keeps
-        rows = record.nfev + record.n_grad_evals * rows_per_gradient(ansatz, kind)
-        assert len(prepared) == rows + 1
-        assert np.array_equal(prepared[-1], record.best_params)
+        assert row_count(prepared) == expected_rows(visited, ansatz, record.best_params)
+        # the record keeps the state of the last single point prepared
+        singles = [params for params in prepared if params.ndim == 1]
+        assert np.array_equal(singles[-1], record.best_params)
         final = prepare(ansatz, record.best_params)
         assert np.array_equal(record.state, final)
 
@@ -409,6 +459,67 @@ class TestMeasurementAccounting:
         assert record.n_meas % pauli_ops_per_eval(spec) == 0
         units = record.n_meas // pauli_ops_per_eval(spec)
         assert units >= record.nfev
+
+
+class TestKeptPoint:
+    """The evaluator keeps the state and breakdown of its last single point."""
+
+    @pytest.mark.parametrize("form", list(PenaltyForm))
+    def test_value_then_gradient_prepares_once(self, form, prepared):
+        ansatz = AnsatzConfig(qubit_count=2, depth=1)
+        x = np.full(ansatz.parameter_count, 0.3)
+        spec = sector_spec(mu=2.0, form=form)
+        want = CostEvaluator(spec, ansatz).gradient(x)
+        prepared.clear()
+        evaluator = CostEvaluator(spec, ansatz)
+        evaluator.value(x)
+        assert evaluator.gradient(x).tobytes() == want.tobytes()
+        assert row_count(prepared) == 1
+        # the ledger charges what a device measures, kept point or not
+        assert evaluator.evals == 1 + units_per_gradient(spec, ansatz)
+
+    def test_gradient_at_a_new_point_prepares_again(self, prepared):
+        ansatz = AnsatzConfig(qubit_count=2, depth=1)
+        x = np.full(ansatz.parameter_count, 0.3)
+        y = x.copy()
+        y[5] = np.nextafter(y[5], 1.0)  # one ulp away is a new point
+        spec = sector_spec(mu=2.0)
+        want = CostEvaluator(spec, ansatz).gradient(y)
+        prepared.clear()
+        evaluator = CostEvaluator(spec, ansatz)
+        evaluator.value(x)
+        assert evaluator.gradient(y).tobytes() == want.tobytes()
+        assert [params.tobytes() for params in prepared] == [x.tobytes(), y.tobytes()]
+        evaluator.value(x)
+        assert row_count(prepared) == 3
+
+    def test_two_gradients_at_one_point_are_identical(self, prepared):
+        ansatz = AnsatzConfig(qubit_count=3, depth=2)
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0, 2 * np.pi, ansatz.parameter_count)
+        spec = CostSpec(build_heisenberg_chain(3), (PenaltyConstraint(build_total_sz(3), 0.5, 1.5, 1.0),))
+        evaluator = CostEvaluator(spec, ansatz)
+        first = evaluator.gradient(x)
+        second = evaluator.gradient(list(x))
+        assert first.tobytes() == second.tobytes()
+        assert row_count(prepared) == 1
+        assert (evaluator.n_grad_evals, evaluator.evals) == (2, 2 * units_per_gradient(spec, ansatz))
+
+    @pytest.mark.parametrize("form", list(PenaltyForm))
+    def test_kept_state_and_breakdown_are_read_only(self, form):
+        ansatz = AnsatzConfig(qubit_count=2, depth=1)
+        x = np.full(ansatz.parameter_count, 0.3)
+        evaluator = CostEvaluator(sector_spec(mu=2.0, form=form), ansatz)
+        cost = evaluator.value(x)
+        psi, base = evaluator._point(x)
+        assert len(base.applied) == 2  # H psi, then the constraint's vector
+        for array in (psi, *base.applied):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert evaluator.value(x) == cost
+        record = minimize(evaluator.spec, ansatz, OptimizerConfig(max_iterations=3), x)
+        with pytest.raises(ValueError, match="read-only"):
+            record.state[0] = 0.0
 
 
 class TestRunTrials:

@@ -16,6 +16,7 @@ from cvqe import (
     prepare,
 )
 from cvqe.errors import DimensionMismatch, InvalidProbability, ParamCountMismatch
+from cvqe.simulator import _cz_chain_signs, _flips, _z_signs
 from helpers import PROPERTY, dense_oracle, random_pauli_sum, random_state
 
 
@@ -121,6 +122,27 @@ def test_batch_rows_equal_single_prepares(case):
         single = prepare(ansatz, row)
         assert single.shape == state.shape
         assert state.tobytes() == single.tobytes()
+
+
+def test_batch_rows_equal_single_prepares_at_n10():
+    # a central-difference batch: 2P rows of one shifted point, P = 40
+    ansatz = AnsatzConfig(qubit_count=10, depth=1)
+    size = ansatz.parameter_count
+    rng = np.random.default_rng(10)
+    rows = np.tile(rng.uniform(0, 2 * np.pi, size), (2 * size, 1))
+    rows[np.arange(2 * size), np.arange(2 * size) // 2] += np.tile([1e-6, -1e-6], size)
+    states = prepare(ansatz, rows)
+    assert states.shape == (2 * size, 2**10)
+    for row, state in zip(rows, states):
+        assert state.tobytes() == prepare(ansatz, row).tobytes()
+
+
+@pytest.mark.parametrize("table", [_cz_chain_signs, _z_signs, _flips])
+def test_lookup_tables_are_read_only(table):
+    # every prepare shares the cached array; one write would corrupt them all
+    with pytest.raises(ValueError, match="read-only"):
+        table(3)[..., 1] = 0
+    assert not table(3).flags.writeable
 
 
 class TestExpectation:
