@@ -21,6 +21,7 @@ penalty coefficients.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -99,18 +100,7 @@ def parse_pauli_sum(text: str) -> PauliSum:
 
 def _tokenize(line: str) -> list[tuple[int, str]]:
     """Whitespace-split with 1-based start columns."""
-    tokens = []
-    i = 0
-    while i < len(line):
-        if line[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < len(line) and not line[j].isspace():
-            j += 1
-        tokens.append((i + 1, line[i:j]))
-        i = j
-    return tokens
+    return [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
 
 
 def serialize_pauli_sum(op: PauliSum) -> str:

@@ -22,10 +22,11 @@ with the chain rule's base point), while the simulator computes the same
 gradient by one adjoint pass over a single prepared state.  That is the
 state ``value`` measured at the same point whenever there was one: the
 line search asks for the gradient only at points whose value it just
-took, so the evaluator keeps its last single point (state and breakdown,
-read-only) and prepares each point once.  A central-difference gradient
-prepares its 2P shifted states in one batched
-:func:`~cvqe.simulator.prepare` call and charges one bundle per row.
+took, so the evaluator keeps the last point that ``value`` or the shift
+rule asked for (state and breakdown, read-only) and prepares each point
+once.  A central-difference gradient prepares and measures its 2P shifted
+points one at a time, one bundle each, and leaves the kept point as it
+was.
 """
 
 from __future__ import annotations
@@ -111,13 +112,13 @@ class CostEvaluator:
     squared-expectation form under the shift rule (the chain rule needs
     the unshifted constraint expectations).  ``evals`` counts every bundle.
 
-    Central differences prepare their 2P shifted states in one batch and
-    measure each.  The shift rule's gradient comes from one prepared state
+    Central differences prepare and measure their 2P shifted points one at
+    a time.  The shift rule's gradient comes from one prepared state
     and one adjoint pass (:func:`~cvqe.costs.adjoint_vector`, then
     :func:`~cvqe.simulator.adjoint_gradient`); it is charged the bundles a
     device would measure, so the counts do not depend on how it is computed.
     The state is the one ``value`` measured at the same parameters when
-    they were the last single point asked for (the same float64 bytes):
+    they were the last point asked for (the same float64 bytes):
     the evaluator keeps that one point, and the shift rule reuses its state
     and :class:`~cvqe.costs.CostBreakdown` instead of preparing again.
     """
@@ -130,7 +131,7 @@ class CostEvaluator:
         self.nfev = 0
         self.n_grad_evals = 0
         self.evals = 0
-        self._last = None  # (params bytes, state, breakdown) of the last single point
+        self._last = None  # (params bytes, state, breakdown) of the kept point
 
     def value(self, params) -> float:
         self.nfev += 1
@@ -144,9 +145,15 @@ class CostEvaluator:
             raise ValueError(f"unknown gradient kind {kind!r}")
         self.n_grad_evals += 1
         if kind == "central_difference":
-            rows = prepare(self.ansatz, _shifted(params, _FD_STEP))
-            totals = [self._measure(psi) for psi in rows]
-            return np.array([(p - m) / (2 * _FD_STEP) for p, m in zip(totals[::2], totals[1::2])])
+            x = params.copy()
+            grad = np.empty(params.size)
+            for k in range(params.size):
+                x[k] += _FD_STEP
+                plus = self._measure(x)
+                x[k] -= 2 * _FD_STEP
+                grad[k] = (plus - self._measure(x)) / (2 * _FD_STEP)
+                x[k] = params[k]
+            return grad
         # The device runs the shift rule: 2P bundles, plus the f2 chain rule's
         # base bundle.  The simulator gets the same gradient by one adjoint pass.
         self.evals += 2 * params.size + (self.spec.form is PenaltyForm.EXPECTATION)
@@ -162,7 +169,7 @@ class CostEvaluator:
     def _point(self, params) -> tuple[np.ndarray, CostBreakdown]:
         """The read-only state and breakdown at ``params``; charges nothing.
 
-        The last single point is kept, so a gradient at the point ``value``
+        The last point is kept, so a gradient at the point ``value``
         just measured (as every accepted line-search step has) prepares and
         measures nothing again.
         """
@@ -176,10 +183,10 @@ class CostEvaluator:
             self._last = (key, psi, base)
         return self._last[1:]
 
-    def _measure(self, psi: np.ndarray) -> float:
-        """One measurement bundle on a prepared state: its total cost."""
+    def _measure(self, params: np.ndarray) -> float:
+        """One bundle at a point that is not kept: prepare, measure, return the total."""
         self.evals += 1
-        return _finite(evaluate_cost(self.spec, psi).total)
+        return _finite(evaluate_cost(self.spec, prepare(self.ansatz, params)).total)
 
     def _check(self, params) -> np.ndarray:
         params = np.asarray(params, dtype=float)
@@ -194,20 +201,6 @@ def _finite(total: float) -> float:
     if not math.isfinite(total):
         raise NonFiniteCost(f"cost evaluated to {total}")
     return total
-
-
-def _shifted(params, step):
-    """The (2P, P) rows ``x + step e_k``, ``x - step e_k`` for k = 0..P-1, in pairs.
-
-    Each minus row is its plus row less ``2 * step``: the arithmetic of
-    shifting one parameter forward and then back over a single copy.
-    """
-    size = params.size
-    rows = np.tile(params, (2 * size, 1))
-    k = np.arange(size)
-    rows[2 * k, k] += step
-    rows[2 * k + 1, k] = rows[2 * k, k] - 2 * step
-    return rows
 
 
 def minimize(
@@ -383,7 +376,6 @@ class TrialSummary:
     mean_nfev: float
     mean_n_meas: float
     mean_best_cost: float
-    mean_constraint_residuals: tuple[float, ...]
     best_index: int
     best_cost: float
 
@@ -427,17 +419,11 @@ def run_trials(
         minimize(spec, ansatz, config, x0)
         for x0 in initial_params(config.seed, ansatz, n_seeds)
     ]
-    n_constraints = len(spec.constraints)
-    mean_residuals = tuple(
-        float(np.mean([r.constraint_residuals[i] for r in records]))
-        for i in range(n_constraints)
-    )
     best_index = best_seed([r.best_cost for r in records])
     summary = TrialSummary(
         mean_nfev=float(np.mean([r.nfev for r in records])),
         mean_n_meas=float(np.mean([r.n_meas for r in records])),
         mean_best_cost=float(np.mean([r.best_cost for r in records])),
-        mean_constraint_residuals=mean_residuals,
         best_index=best_index,
         best_cost=records[best_index].best_cost,
     )

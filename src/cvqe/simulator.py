@@ -13,13 +13,12 @@ Conventions (fixed so results reproduce bit-for-bit):
   ``R_Y`` angle of qubit ``q`` and ``params[2nl + n + q]`` the ``R_Z``
   angle, so ``parameter_count = 2 n (depth + 1)``.
 
-A state is its complex (2^n,) amplitude array.  :func:`prepare` takes one
-parameter vector or a (B, P) batch of them, giving a (B, 2^n) batch of
-states, and every row equals its own single preparation bit for bit.  A
-column is (prod_q R_Z,q)(prod_q R_Y,q).  R_Y is real, so each one is a
-real 2x2 matmul over all B rows on the float64 view of the amplitudes;
-the R_Z's are diagonal, so the whole R_Z column, with the CZ chain that
-follows it, is one elementwise phase ``exp(0.5i sum_q t_q z_q)``.
+A state is its complex (2^n,) amplitude array, and :func:`prepare` takes
+one (P,) parameter vector to one state.  A column is
+(prod_q R_Z,q)(prod_q R_Y,q).  R_Y is real, so each one is a real 2x2
+matmul on the float64 view of the amplitudes; the R_Z's are diagonal, so
+the whole R_Z column, with the CZ chain that follows it, is one
+elementwise phase ``exp(0.5i sum_q t_q z_q)``.
 :func:`adjoint_gradient` differentiates ``<psi|A|psi>`` in every parameter
 by one backward sweep that un-applies the same two steps.  The R_Y's of
 one column commute, so all n of their derivatives are read at one state
@@ -43,18 +42,12 @@ from .errors import DimensionMismatch, InvalidProbability, ParamCountMismatch
 from .paulis import PauliSum
 
 
-def basis_state(bits: str | int, qubit_count: int) -> np.ndarray:
-    """Amplitudes of a computational basis state; string form has character k = qubit k."""
-    if isinstance(bits, str):
-        if len(bits) != qubit_count or set(bits) - {"0", "1"}:
-            raise ValueError(f"reference bitstring {bits!r} invalid for n={qubit_count}")
-        index = sum(1 << k for k, b in enumerate(bits) if b == "1")
-    else:
-        index = int(bits)
-        if not 0 <= index < 2**qubit_count:
-            raise ValueError(f"basis index {index} out of range")
+def basis_state(bits: str, qubit_count: int) -> np.ndarray:
+    """Amplitudes of a computational basis state; character k of ``bits`` is qubit k."""
+    if len(bits) != qubit_count or set(bits) - {"0", "1"}:
+        raise ValueError(f"reference bitstring {bits!r} invalid for n={qubit_count}")
     amps = np.zeros(2**qubit_count, dtype=np.complex128)
-    amps[index] = 1.0
+    amps[sum(1 << k for k, b in enumerate(bits) if b == "1")] = 1.0
     return amps
 
 
@@ -123,69 +116,60 @@ def _flips(n: int) -> np.ndarray:
     return _read_only(np.arange(2**n) ^ (1 << np.arange(n))[:, None])
 
 
-def _columns(ansatz: AnsatzConfig, batch: np.ndarray, sign: float):
-    """The rotation columns of every row of a (B, P) batch, all layers at once.
+def _columns(ansatz: AnsatzConfig, params: np.ndarray, sign: float):
+    """The rotation columns of one (P,) parameter vector, all layers at once.
 
-    Returns ``(ry, diagonals)``: ``ry[b, l, q]`` is the real 2x2 matrix of
-    ``R_Y(sign t)`` on qubit q in layer l, and ``diagonals[b, l]`` the
-    (2^n,) diagonal of that layer's R_Z column followed by the next layer's
-    CZ chain (both diagonal, so they commute), raised to ``sign``.
+    Returns ``(ry, diagonals)``: ``ry[l, q]`` is the real 2x2 matrix of
+    ``R_Y(sign t)`` on qubit q in layer l, and ``diagonals[l]`` the (2^n,)
+    diagonal of that layer's R_Z column followed by the next layer's CZ
+    chain (both diagonal, so they commute), raised to ``sign``.
     ``sign = -1`` gives the inverses that the adjoint sweep un-applies.
     """
     n = ansatz.qubit_count
-    angles = batch.reshape(len(batch), ansatz.depth + 1, 2, n)
-    half = (0.5 * sign) * angles[:, :, 0]
+    angles = params.reshape(ansatz.depth + 1, 2, n)
+    half = (0.5 * sign) * angles[:, 0]
     ry = np.empty(half.shape + (2, 2))
     ry[..., 0, 0] = ry[..., 1, 1] = np.cos(half)
     ry[..., 0, 1] = np.sin(half)
     ry[..., 1, 0] = -ry[..., 0, 1]
-    diagonals = np.exp((0.5j * sign) * (angles[:, :, 1] @ _z_signs(n)))
-    diagonals[:, :-1] *= _cz_chain_signs(n)
+    diagonals = np.exp((0.5j * sign) * (angles[:, 1] @ _z_signs(n)))
+    diagonals[:-1] *= _cz_chain_signs(n)
     return ry, diagonals
 
 
 def _rotate_y(amps: np.ndarray, ry: np.ndarray) -> np.ndarray:
-    """Apply ``ry[b, q]`` to qubit q of row b of a (B, 2^n) batch, for every q.
+    """Apply ``ry[q]`` to qubit q of every (2^n,) row of ``amps``, for every q.
 
     R_Y is real, so each gate is one real 2x2 matmul on the float64 view of
     the amplitudes: bit q of a complex index is bit q + 1 of its float
     index, whose lower bits run over the qubits below q and (re, im).
     """
-    size, dim = amps.shape
     floats = amps.view(np.float64)
-    for q in range(ry.shape[1]):
-        floats = np.matmul(ry[:, None, q], floats.reshape(size, -1, 2, 2 ** (q + 1)))
-    return floats.reshape(size, 2 * dim).view(np.complex128)
+    for q, gate in enumerate(ry):
+        floats = np.matmul(gate, floats.reshape(-1, 2, 2 ** (q + 1)))
+    return floats.reshape(amps.shape[:-1] + (-1,)).view(np.complex128)
 
 
 def prepare(ansatz: AnsatzConfig, params) -> np.ndarray:
-    """Run the ansatz circuit on the reference state; return its amplitudes.
+    """Run the ansatz circuit on the reference state; return its (2^n,) amplitudes.
 
-    ``params`` is one (P,) vector, which returns one (2^n,) state, or a
-    (B, P) batch, which returns a (B, 2^n) array with one state per row.  A
-    batch runs the same gates over every row at once, and each row comes
-    out bit for bit equal to its own single ``prepare``; this is how the
-    optimizer prepares all the shifted states of one central-difference
-    gradient in a single call.
-
-    A column is (prod_q R_Z,q)(prod_q R_Y,q).  Each R_Y is one real 2x2
-    matmul per qubit on the float64 view of the amplitudes, and the whole
-    R_Z column, with the next CZ chain, is one diagonal phase
-    ``exp(0.5i sum_q t_q z_q)``; tests pin the result to a gate-by-gate
-    dense matrix chain at 1e-10.
+    ``params`` is one (P,) vector.  A column is (prod_q R_Z,q)(prod_q R_Y,q).
+    Each R_Y is one real 2x2 matmul per qubit on the float64 view of the
+    amplitudes, and the whole R_Z column, with the next CZ chain, is one
+    diagonal phase ``exp(0.5i sum_q t_q z_q)``; tests pin the result to a
+    gate-by-gate dense matrix chain at 1e-10.
     """
     params = np.asarray(params, dtype=float)
     count = ansatz.parameter_count
-    if params.ndim not in (1, 2) or params.shape[-1] != count:
-        raise ParamCountMismatch(f"expected {count} parameters per row, got {params.shape}")
-    batch = params.reshape(-1, count)
+    if params.shape != (count,):
+        raise ParamCountMismatch(f"expected {count} parameters, got {params.shape}")
     n = ansatz.qubit_count
-    ry, diagonals = _columns(ansatz, batch, 1.0)
-    amps = np.tile(basis_state(ansatz.reference_state or "0" * n, n), (len(batch), 1))
+    ry, diagonals = _columns(ansatz, params, 1.0)
+    amps = basis_state(ansatz.reference_state or "0" * n, n)
     for layer in range(ansatz.depth + 1):
-        amps = _rotate_y(amps, ry[:, layer])
-        amps *= diagonals[:, layer]
-    return amps.reshape(params.shape[:-1] + (2**n,))
+        amps = _rotate_y(amps, ry[layer])
+        amps *= diagonals[layer]
+    return amps
 
 
 def adjoint_gradient(ansatz: AnsatzConfig, params, psi, lam) -> np.ndarray:
@@ -200,18 +184,17 @@ def adjoint_gradient(ansatz: AnsatzConfig, params, psi, lam) -> np.ndarray:
     ``(i Y_q phi)[k] = z_q(k) phi[k ^ 2^q]``, one gather for all n.
     """
     n = ansatz.qubit_count
-    params = np.asarray(params, dtype=float)
     signs = _z_signs(n)
-    ry, diagonals = _columns(ansatz, params[None], -1.0)
+    ry, diagonals = _columns(ansatz, np.asarray(params, dtype=float), -1.0)
     pair = np.stack([psi, lam])
     grad = np.empty(ansatz.parameter_count)
     for layer in reversed(range(ansatz.depth + 1)):
         ys = slice(2 * n * layer, 2 * n * layer + n)
         zs = slice(ys.stop, ys.stop + n)
         grad[zs] = -(signs @ (pair[1].conj() * pair[0])).imag
-        pair *= diagonals[0, layer]
+        pair *= diagonals[layer]
         grad[ys] = ((signs * pair[0][_flips(n)]) @ pair[1].conj()).real
-        pair = _rotate_y(pair, ry[:, layer])
+        pair = _rotate_y(pair, ry[layer])
     return grad
 
 

@@ -771,6 +771,17 @@ class TestArgumentErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
 
+    def test_oracle_cap_exits_before_any_square(self, monkeypatch, capsys):
+        # auto-rough needs no oracle, so f1's (S^2)^2 would come first unless
+        # the target is read before the cost is built
+        builds = count_square_builds(monkeypatch)
+        assert run_cli([
+            "vqe", "--hamiltonian", "builtin:heisenberg:13",
+            "--constraint", "s2=0:mu=auto-rough", "--depth", 0, "--seeds", 1,
+        ]) == 2  # fmt: skip
+        assert "oracle cap" in capsys.readouterr().err
+        assert builds == []
+
     def test_scan_mu_resolves_no_policy(self, tmp_path):
         # scan-mu sets every weight from --mu-values, so a bad auto-ce policy is unused
         assert run_cli([

@@ -113,8 +113,10 @@ def agree(got, want) -> bool:
 
 
 class TestBatchedGradient:
+    """A gradient's batch of 2P shifted bundles: what it prepares, and what it equals."""
+
     @pytest.mark.parametrize("form, kind, extra", GRADIENT_CASES)
-    def test_one_prepare_call_per_gradient(self, form, kind, extra, monkeypatch):
+    def test_prepare_calls_of_one_gradient(self, form, kind, extra, monkeypatch):
         shapes = []
 
         def counting_prepare(ansatz, params):
@@ -126,8 +128,8 @@ class TestBatchedGradient:
         evaluator = CostEvaluator(sector_spec(mu=2.0, form=form), ansatz)
         evaluator.gradient(np.full(ansatz.parameter_count, 0.3), kind)
         size = ansatz.parameter_count
-        # the shift rule's adjoint prepares one state; differences prepare 2P
-        assert shapes == [(size,) if kind == "parameter_shift" else (2 * size, size)]
+        # the shift rule's adjoint prepares one state; differences prepare 2P, one at a time
+        assert shapes == [(size,)] * (1 if kind == "parameter_shift" else 2 * size)
         assert evaluator.evals == 2 * size + extra
 
     @pytest.mark.parametrize("form, kind, extra", GRADIENT_CASES)
@@ -323,8 +325,7 @@ class TestMinimize:
 
 @pytest.fixture
 def prepared(monkeypatch):
-    """Parameters of every ``prepare`` call the optimize module makes, in order:
-    a (P,) vector for one state, a (B, P) batch for B."""
+    """The (P,) parameters of every ``prepare`` call the optimize module makes, in order."""
     params_seen = []
 
     def counting_prepare(ansatz, params):
@@ -333,11 +334,6 @@ def prepared(monkeypatch):
 
     monkeypatch.setattr(optimize_module, "prepare", counting_prepare)
     return params_seen
-
-
-def row_count(prepared) -> int:
-    """The states those calls prepared: one per vector, B per batch."""
-    return sum(len(np.array(params, ndmin=2)) for params in prepared)
 
 
 @pytest.fixture
@@ -362,9 +358,9 @@ def expected_rows(visited, ansatz, final) -> int:
     """States the simulator prepares for the calls in ``visited`` and a final state at ``final``.
 
     A value and a shift-rule gradient each need the state at their point,
-    which the evaluator keeps for the last single point: one prepare per
+    which the evaluator keeps for its last point: one prepare per
     distinct consecutive point.  A central-difference gradient prepares its
-    2P shifted rows and leaves the kept point alone.  The final state is
+    2P shifted points and leaves the kept point alone.  The final state is
     prepared unless it is the kept point.
     """
     rows, kept = 0, None
@@ -401,7 +397,7 @@ class TestMeasurementAccounting:
         assert evaluator.evals == 1 + 4 * ansatz.parameter_count
         assert (evaluator.nfev, evaluator.n_grad_evals) == (1, 2)
         # the shift rule reads the state value prepared at x
-        assert row_count(prepared) == 1 + 2 * ansatz.parameter_count
+        assert len(prepared) == 1 + 2 * ansatz.parameter_count
 
     def test_n_meas_identity_end_to_end(self, calls, prepared, visited):
         ansatz = AnsatzConfig(qubit_count=2, depth=1)
@@ -418,10 +414,10 @@ class TestMeasurementAccounting:
             # squared-expectation chain rule
             units = calls["value"] + calls["gradient"] * units_per_gradient(spec, ansatz)
             assert record.n_meas == units * pauli_ops_per_eval(spec)
-            # one row per distinct consecutive point, and the final state
+            # one prepare per distinct consecutive point, and the final state
             # unless it is the kept point; at least the first gradient reuses
             rows = expected_rows(visited, ansatz, record.best_params)
-            assert row_count(prepared) == rows
+            assert len(prepared) == rows
             assert rows < calls["value"] + calls["gradient"] + 1
 
     @pytest.mark.parametrize("form", [PenaltyForm.OPERATOR, PenaltyForm.EXPECTATION])
@@ -443,10 +439,12 @@ class TestMeasurementAccounting:
         assert record.n_meas == units * pauli_ops_per_eval(spec)
         assert record.nfev > 0
         assert (record.n_grad_evals > 0) == (method == "quasi_newton")
-        assert row_count(prepared) == expected_rows(visited, ansatz, record.best_params)
-        # the record keeps the state of the last single point prepared
-        singles = [params for params in prepared if params.ndim == 1]
-        assert np.array_equal(singles[-1], record.best_params)
+        assert len(prepared) == expected_rows(visited, ansatz, record.best_params)
+        # the record keeps the state of the last point value or the shift
+        # rule prepared; central differences prepare only shifted points
+        asked = {key for _, key in visited}
+        points = [params for params in prepared if params.tobytes() in asked]
+        assert np.array_equal(points[-1], record.best_params)
         final = prepare(ansatz, record.best_params)
         assert np.array_equal(record.state, final)
 
@@ -462,7 +460,7 @@ class TestMeasurementAccounting:
 
 
 class TestKeptPoint:
-    """The evaluator keeps the state and breakdown of its last single point."""
+    """The evaluator keeps the state and breakdown of its last point."""
 
     @pytest.mark.parametrize("form", list(PenaltyForm))
     def test_value_then_gradient_prepares_once(self, form, prepared):
@@ -474,7 +472,7 @@ class TestKeptPoint:
         evaluator = CostEvaluator(spec, ansatz)
         evaluator.value(x)
         assert evaluator.gradient(x).tobytes() == want.tobytes()
-        assert row_count(prepared) == 1
+        assert len(prepared) == 1
         # the ledger charges what a device measures, kept point or not
         assert evaluator.evals == 1 + units_per_gradient(spec, ansatz)
 
@@ -491,7 +489,7 @@ class TestKeptPoint:
         assert evaluator.gradient(y).tobytes() == want.tobytes()
         assert [params.tobytes() for params in prepared] == [x.tobytes(), y.tobytes()]
         evaluator.value(x)
-        assert row_count(prepared) == 3
+        assert len(prepared) == 3
 
     def test_two_gradients_at_one_point_are_identical(self, prepared):
         ansatz = AnsatzConfig(qubit_count=3, depth=2)
@@ -502,7 +500,7 @@ class TestKeptPoint:
         first = evaluator.gradient(x)
         second = evaluator.gradient(list(x))
         assert first.tobytes() == second.tobytes()
-        assert row_count(prepared) == 1
+        assert len(prepared) == 1
         assert (evaluator.n_grad_evals, evaluator.evals) == (2, 2 * units_per_gradient(spec, ansatz))
 
     @pytest.mark.parametrize("form", list(PenaltyForm))
@@ -552,8 +550,8 @@ class TestRunTrials:
     def test_sector_task_mean_residual(self):
         spec = sector_spec()
         ansatz = AnsatzConfig(qubit_count=2, depth=1)
-        _, summary = run_trials(spec, ansatz, OptimizerConfig(seed=17), 10)
-        assert summary.mean_constraint_residuals[0] <= 1e-4
+        records, _ = run_trials(spec, ansatz, OptimizerConfig(seed=17), 10)
+        assert np.mean([r.constraint_residuals[0] for r in records]) <= 1e-4
 
 
 class TestNoiseInvariance:
