@@ -60,7 +60,7 @@ from .penalties import (
     penalized_energies,
     resolve_weights,
 )
-from .simulator import AnsatzConfig, NoiseModel, expectation, overlap_sq
+from .simulator import AnsatzConfig, NoiseModel, overlap_sq
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -450,24 +450,16 @@ def cmd_spectrum(config: ExperimentConfig) -> tuple[list, list]:
     return header, [list(row) for row in zip(*columns)]
 
 
-def _trial_rows(workspace: Workspace, records, e_reference: float):
-    rows = []
-    for seed, record in enumerate(records):
-        energy = expectation(workspace.hamiltonian, record.state)
-        rows.append(
-            [
-                seed,
-                record.nfev,
-                record.n_grad_evals,
-                record.n_meas,
-                record.best_cost,
-                energy,
-                energy - e_reference,
-                *record.constraint_residuals,
-                _sector_miss(workspace, record),
-            ]
-        )
-    return rows
+def _record_table(workspace: Workspace, records, e_reference: float):
+    """Each record's cells from ``nfev`` to ``sector_miss``, and their column names."""
+    names = ["nfev", "n_grad_evals", "n_meas", "best_cost", "energy", "energy_residual"]
+    names += [f"residual_{name}" for name in workspace.observable_names] + ["sector_miss"]
+    rows = [
+        [r.nfev, r.n_grad_evals, r.n_meas, r.best_cost, r.energy, r.energy - e_reference]
+        + [*r.constraint_residuals, _sector_miss(workspace, r)]
+        for r in records
+    ]
+    return names, rows
 
 
 def _mean_row(rows) -> list:
@@ -479,17 +471,6 @@ def _mean_row(rows) -> list:
         else:
             means.append(float(np.mean([float(v) for v in values])))
     return means
-
-
-_TRIAL_HEADER_PREFIX = [
-    "seed",
-    "nfev",
-    "n_grad_evals",
-    "n_meas",
-    "best_cost",
-    "energy",
-    "energy_residual",
-]
 
 
 def cmd_vqe(config: ExperimentConfig) -> tuple[list, list]:
@@ -505,12 +486,10 @@ def cmd_vqe(config: ExperimentConfig) -> tuple[list, list]:
             _retry_with_doubling(workspace, spec, ansatz, record, seed)
             for seed, record in enumerate(records)
         ]
-    header = list(_TRIAL_HEADER_PREFIX)
-    header += [f"residual_{name}" for name in workspace.observable_names]
-    header += ["sector_miss"]
-    rows = _trial_rows(workspace, records, e_reference)
+    names, cells = _record_table(workspace, records, e_reference)
+    rows = [[seed, *row] for seed, row in enumerate(cells)]
     rows.append(_mean_row(rows))
-    return header, rows
+    return ["seed", *names], rows
 
 
 def _retry_with_doubling(workspace: Workspace, spec, ansatz, record, seed):
@@ -557,7 +536,7 @@ def cmd_scan_mu(config: ExperimentConfig) -> tuple[list, list]:
             records, summary = run_trials(
                 spec, ansatz, workspace.optimizer_config(), config.seeds
             )
-            energies = [expectation(workspace.hamiltonian, r.state) for r in records]
+            energies = [record.energy for record in records]
             residuals = [record.constraint_residual for record in records]
             rows.append(
                 [
@@ -596,9 +575,6 @@ def cmd_vqd(config: ExperimentConfig) -> tuple[list, list]:
     spectrum = workspace.spectrum
     order = np.argsort(penalized_energies(spectrum, constraints), kind="stable")
     ladder = spectrum.energies[order].tolist()
-    header = ["level", *_TRIAL_HEADER_PREFIX[1:]]
-    header += [f"residual_{name}" for name in workspace.observable_names]
-    header += ["sector_miss", "max_overlap_previous", "seed"]
     rows = []
     found_states = []
     for level in range(config.levels + 1):
@@ -606,14 +582,14 @@ def cmd_vqd(config: ExperimentConfig) -> tuple[list, list]:
         spec = workspace.cost_spec(constraints, deflation=deflation)
         records, summary = run_trials(spec, ansatz, workspace.optimizer_config(), config.seeds)
         e_reference = ladder[level] if level < len(ladder) else float("nan")
-        trial_rows = _trial_rows(workspace, records, e_reference)
-        for seed, (record, row) in enumerate(zip(records, trial_rows)):
+        names, cells = _record_table(workspace, records, e_reference)
+        for seed, (record, row) in enumerate(zip(records, cells)):
             max_overlap = max(
                 (overlap_sq(prev, record.state) for prev, _ in deflation), default=0.0
             )
-            rows.append([level, *row[1:], max_overlap, seed])
+            rows.append([level, *row, max_overlap, seed])
         found_states.append(records[summary.best_index].state)
-    return header, rows
+    return ["level", *names, "max_overlap_previous", "seed"], rows
 
 
 def cmd_envelope(config: ExperimentConfig) -> tuple[list, list]:

@@ -118,7 +118,7 @@ def serialize_pauli_sum(op: PauliSum) -> str:
 
 def build_total_sz(n: int) -> PauliSum:
     """z-component of total spin, sum_i Z_i / 2."""
-    _require_positive(n)
+    _check_qubits(n)
     return PauliSum(tuple(PauliTerm(0.5, ((i, "Z"),)) for i in range(n)), n)
 
 
@@ -127,7 +127,7 @@ def build_s_squared(n: int) -> PauliSum:
 
     Equals (3n/4) I + (1/2) sum_{i<j} (X_i X_j + Y_i Y_j + Z_i Z_j).
     """
-    _require_positive(n)
+    _check_qubits(n)
     terms = [PauliTerm(0.75 * n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -138,7 +138,7 @@ def build_s_squared(n: int) -> PauliSum:
 
 def build_number_operator(n: int) -> PauliSum:
     """Occupation-number operator sum_i (I - Z_i) / 2 with eigenvalues 0..n."""
-    _require_positive(n)
+    _check_qubits(n)
     terms = [PauliTerm(0.5 * n)]
     terms.extend(PauliTerm(-0.5, ((i, "Z"),)) for i in range(n))
     return PauliSum(tuple(terms), n)
@@ -146,7 +146,7 @@ def build_number_operator(n: int) -> PauliSum:
 
 def build_z_parity(n: int) -> PauliSum:
     """Global Z-parity Z_0 Z_1 ... Z_{n-1}; eigenvalues +-1."""
-    _require_positive(n)
+    _check_qubits(n)
     return PauliSum((PauliTerm(1.0, tuple((i, "Z") for i in range(n))),), n)
 
 
@@ -156,14 +156,8 @@ def build_heisenberg_chain(n: int, coupling: float = 1.0, periodic: bool = False
     Conserves both total Sz and total S^2, so it serves as the desk-scale
     stand-in for symmetric many-body Hamiltonians.
     """
-    if n < 2:
-        raise ValueError("chain needs at least 2 sites")
-    bonds = [(i, i + 1) for i in range(n - 1)]
-    if periodic and n > 2:
-        bonds.append((n - 1, 0))
     terms = []
-    for i, j in bonds:
-        a, b = min(i, j), max(i, j)
+    for a, b in _chain_bonds(n, periodic):
         for axis in ("X", "Y", "Z"):
             terms.append(PauliTerm(coupling / 4.0, ((a, axis), (b, axis))))
     return PauliSum(tuple(terms), n)
@@ -173,15 +167,7 @@ def build_transverse_field_ising(
     n: int, coupling: float = 1.0, field: float = 1.0, periodic: bool = False
 ) -> PauliSum:
     """Ising chain J sum XX + g sum Z; conserves global Z-parity."""
-    if n < 2:
-        raise ValueError("chain needs at least 2 sites")
-    bonds = [(i, i + 1) for i in range(n - 1)]
-    if periodic and n > 2:
-        bonds.append((n - 1, 0))
-    terms = []
-    for i, j in bonds:
-        a, b = min(i, j), max(i, j)
-        terms.append(PauliTerm(coupling, ((a, "X"), (b, "X"))))
+    terms = [PauliTerm(coupling, ((a, "X"), (b, "X"))) for a, b in _chain_bonds(n, periodic)]
     terms.extend(PauliTerm(field, ((i, "Z"),)) for i in range(n))
     return PauliSum(tuple(terms), n)
 
@@ -227,6 +213,20 @@ BUILTIN_OBSERVABLES = {
 }
 
 
-def _require_positive(n: int):
+def _check_qubits(n: int):
+    """Every builder's size check, made before it builds any term."""
     if n < 1:
         raise ValueError("qubit count must be positive")
+    if n > MAX_QUBITS:
+        raise ValueError(f"qubit_count must be between 1 and {MAX_QUBITS}, got {n}")
+
+
+def _chain_bonds(n: int, periodic: bool) -> list[tuple[int, int]]:
+    """The (lower, upper) site pairs of an open or periodic chain of n sites."""
+    if n < 2:
+        raise ValueError("chain needs at least 2 sites")
+    _check_qubits(n)
+    bonds = [(i, i + 1) for i in range(n - 1)]
+    if periodic and n > 2:
+        bonds.append((0, n - 1))
+    return bonds

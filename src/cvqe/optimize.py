@@ -15,7 +15,9 @@ its one ledger: ``nfev`` counts the optimizer's cost evaluations (calls of
 Pauli terms, the bundles inside gradients included.  :func:`minimize`
 copies the three into its record, with the total Pauli-measurement count
 ``n_meas = evals * pauli_ops_per_eval(spec)`` as an exact integer identity;
-the minimizers themselves count nothing.
+the minimizers themselves count nothing.  The record also reports where
+the run landed: its final state, that state's noiseless energy ``<H>`` and
+its constraint residuals ``<(C_l - c_l)^2>``.
 
 The ledger charges a shift-rule gradient the device's 2P bundles (2P + 1
 with the chain rule's base point), while the simulator computes the same
@@ -46,7 +48,7 @@ from .costs import (
     squared_residual,
 )
 from .errors import NonFiniteCost, ParamCountMismatch
-from .simulator import AnsatzConfig, adjoint_gradient, prepare
+from .simulator import AnsatzConfig, adjoint_gradient, expectation, prepare
 
 # Strong-Wolfe line search: sufficient-decrease and curvature constants, the
 # most doublings and bisections one search may take, and its narrowest bracket.
@@ -89,12 +91,19 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizationRecord:
+    """One run's result, its ledger counts, and its final state.
+
+    ``energy`` and ``constraint_residuals`` are measured on ``state`` without
+    noise, whatever the cost's noise model: ``<H>`` and each ``<(C_l - c_l)^2>``.
+    """
+
     best_params: np.ndarray
     best_cost: float
     nfev: int
     n_grad_evals: int
     n_meas: int
     cost_trace: list[float]
+    energy: float
     constraint_residuals: tuple[float, ...]
     state: np.ndarray  # amplitudes prepared at best_params
 
@@ -223,6 +232,7 @@ def minimize(
         n_grad_evals=evaluator.n_grad_evals,
         n_meas=evaluator.evals * pauli_ops_per_eval(spec),
         cost_trace=trace,
+        energy=expectation(spec.hamiltonian, state),
         constraint_residuals=tuple(squared_residual(c, state) for c in spec.constraints),
         state=state,
     )

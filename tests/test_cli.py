@@ -9,8 +9,11 @@ import pytest
 
 import cvqe.cli
 import cvqe.envelope
+import cvqe.models
 from cvqe import build_heisenberg_chain, diagonal_hamiltonian, errors, serialize_pauli_sum
 from cvqe.cli import ConstraintRequest, ExperimentConfig, build_parser, load_config, main
+from cvqe.optimize import run_trials
+from cvqe.simulator import expectation
 from helpers import count_square_builds
 
 # Diagonal 3-qubit instance whose number-sector c=1 ground (energy 0) is
@@ -200,6 +203,23 @@ class TestVqe:
         rows = read_rows(out_retry)[:-1]
         assert all(r["sector_miss"] == "false" for r in rows)
         assert min(float(r["best_cost"]) for r in rows) == pytest.approx(0.25, abs=1e-6)
+
+    def test_retried_record_reports_its_state_energy(self, tmp_path):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({
+            "hamiltonian": "builtin:heisenberg:2",
+            "constraints": [{"observable": "sz", "c": 1.0, "mu": "0.4"}],
+            "depth": 1, "seeds": 2, "master_seed": 11, "retry_on_miss": 3,
+        }))  # fmt: skip
+        workspace = cvqe.cli.Workspace(load_config(build_parser().parse_args(
+            ["vqe", "--config", str(config)])))  # fmt: skip
+        spec = workspace.cost_spec(workspace.weighted_constraints())
+        ansatz = workspace.ansatz()
+        records, _ = run_trials(spec, ansatz, workspace.optimizer_config(), 2)
+        for seed, record in enumerate(records):
+            retried = cvqe.cli._retry_with_doubling(workspace, spec, ansatz, record, seed)
+            assert retried is not record  # mu = 0.4 misses the sector, so each seed re-ran
+            assert retried.energy == expectation(spec.hamiltonian, retried.state)
 
     def test_retries_reuse_the_square(self, tmp_path, monkeypatch):
         # mu = 0.01 misses the sector, so both seeds retry with 0.02, 0.04, 0.08
@@ -457,6 +477,27 @@ class TestVqd:
         assert run_cli(args) == 0
         rows = read_rows(out)
         assert {r["level"] for r in rows} == {"0", "1", "2"}
+
+    def test_level_zero_shares_the_vqe_record_cells(self, tmp_path):
+        # mu = 4 from auto-simple makes the Sz = 1 ground (0.25) the lowest
+        # penalized state, so vqe's sector ground and vqd's ladder[0] agree
+        common = [
+            "--hamiltonian", "builtin:heisenberg:2", "--constraint", "sz=1",
+            "--depth", 1, "--seeds", 2, "--master-seed", 3,
+        ]  # fmt: skip
+        assert run_cli(["vqe", *common, "--out", tmp_path / "vqe.csv"]) == 0
+        assert run_cli(["vqd", *common, "--levels", 1, "--out", tmp_path / "vqd.csv"]) == 0
+        vqe_header, *vqe_rows = csv.reader((tmp_path / "vqe.csv").read_text().splitlines())
+        vqd_header, *vqd_rows = csv.reader((tmp_path / "vqd.csv").read_text().splitlines())
+        assert vqe_header[0] == "seed" and vqd_header[0] == "level"
+        assert vqe_header[1:] == vqd_header[1:-2]
+        assert vqd_header[-2:] == ["max_overlap_previous", "seed"]
+        level0 = [row for row in vqd_rows if row[0] == "0"]
+        assert [row[1:] for row in vqe_rows[:-1]] == [row[1:-2] for row in level0]
+        assert [row[0] for row in vqe_rows[:-1]] == [row[-1] for row in level0]
+        energy, residual = vqe_header.index("energy"), vqe_header.index("energy_residual")
+        for row in vqe_rows[:-1]:
+            assert float(row[energy]) - float(row[residual]) == pytest.approx(0.25, abs=1e-15)
 
     def test_levels_share_one_square(self, tmp_path, monkeypatch):
         builds = count_square_builds(monkeypatch)
@@ -781,6 +822,22 @@ class TestArgumentErrors:
         ]) == 2  # fmt: skip
         assert "oracle cap" in capsys.readouterr().err
         assert builds == []
+
+    @pytest.mark.parametrize(
+        ("argv", "size", "terms"),
+        [(["--hamiltonian", "builtin:heisenberg:200000"], 200000, 0),
+         (["--hamiltonian", "builtin:s2:600"], 600, 0),
+         # the Hamiltonian's 3 bonds x 3 axes, then nothing of the constraint
+         (["--hamiltonian", "builtin:heisenberg:4", "--constraint", "builtin:s2:600=0"], 600, 9)],
+    )  # fmt: skip
+    def test_oversized_builtin_builds_no_term(self, argv, size, terms, monkeypatch, capsys):
+        built, term = [], cvqe.models.PauliTerm
+        monkeypatch.setattr(cvqe.models, "PauliTerm", lambda *a: built.append(a) or term(*a))
+        assert run_cli(["spectrum", *argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: qubit_count must be between 1 and 62, got {size}\n"
+        )
+        assert len(built) == terms
 
     def test_scan_mu_resolves_no_policy(self, tmp_path):
         # scan-mu sets every weight from --mu-values, so a bad auto-ce policy is unused

@@ -92,15 +92,19 @@ CASES = {
 }  # fmt: skip
 
 
+def case_argv(name: str, workdir: Path) -> list[str]:
+    """One case's CLI arguments, its JSON config (if any) written into ``workdir``."""
+    argv, config = CASES[name]
+    if config is None:
+        return list(argv)
+    path = workdir / f"{name}.json"
+    path.write_text(json.dumps(config))
+    return [*argv, "--config", str(path)]
+
+
 def run_case(name: str, workdir: Path, out: Path) -> int:
     """Run one case through the CLI, writing its CSV to ``out``."""
-    argv, config = CASES[name]
-    argv = [*argv, "--out", str(out)]
-    if config is not None:
-        path = workdir / f"{name}.json"
-        path.write_text(json.dumps(config))
-        argv += ["--config", str(path)]
-    return main(argv)
+    return main([*case_argv(name, workdir), "--out", str(out)])
 
 
 def _read(path: Path) -> list[list[str]]:

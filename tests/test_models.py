@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+import cvqe.models
 from cvqe import (
     PauliSum,
     PauliTerm,
@@ -19,6 +20,7 @@ from cvqe import (
     serialize_pauli_sum,
 )
 from cvqe.errors import ParseError
+from cvqe.paulis import MAX_QUBITS
 from helpers import PROPERTY, dense_oracle, pauli_sums, random_pauli_sum
 
 
@@ -128,7 +130,29 @@ class TestSerializer:
         assert parse_pauli_sum(text).terms[0].coefficient == 1.0
 
 
+BUILDERS = [*cvqe.models.BUILTIN_HAMILTONIANS.values(), *cvqe.models.BUILTIN_OBSERVABLES.values()]
+
+
 class TestBuilders:
+    @pytest.mark.parametrize("builder", BUILDERS, ids=lambda b: b.__name__)
+    def test_size_above_the_mask_width_builds_no_term(self, builder, monkeypatch):
+        built = []
+        monkeypatch.setattr(cvqe.models, "PauliTerm", lambda *args: built.append(args))
+        with pytest.raises(ValueError, match=f"between 1 and {MAX_QUBITS}, got {MAX_QUBITS + 1}"):
+            builder(MAX_QUBITS + 1)
+        assert built == []
+
+    @pytest.mark.parametrize("builder", BUILDERS, ids=lambda b: b.__name__)
+    def test_lower_bounds_keep_their_messages(self, builder):
+        chain = builder in cvqe.models.BUILTIN_HAMILTONIANS.values()
+        message = "chain needs at least 2 sites" if chain else "qubit count must be positive"
+        with pytest.raises(ValueError, match=message):
+            builder(1 if chain else 0)
+
+    @pytest.mark.parametrize("builder", BUILDERS, ids=lambda b: b.__name__)
+    def test_largest_size_builds(self, builder):
+        assert builder(MAX_QUBITS).qubit_count == MAX_QUBITS
+
     def test_total_sz_single_site(self):
         assert build_total_sz(1) == PauliSum((PauliTerm(0.5, ((0, "Z"),)),), 1)
 

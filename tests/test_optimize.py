@@ -282,6 +282,17 @@ class TestMinimize:
         assert best.best_cost == pytest.approx(target.energy, abs=1e-6)
         assert best.constraint_residual <= 1e-8
 
+    @pytest.mark.parametrize("form", list(PenaltyForm))
+    @pytest.mark.parametrize("p", [0.0, 0.1])
+    def test_energy_is_the_noiseless_energy_of_the_state(self, form, p):
+        spec = sector_spec(mu=1.7, form=form, noise=NoiseModel(p) if p else None)
+        ansatz = AnsatzConfig(qubit_count=2, depth=1)
+        x0 = np.random.default_rng(4).uniform(0, 2 * np.pi, ansatz.parameter_count)
+        record = minimize(spec, ansatz, OptimizerConfig(max_iterations=3), x0)
+        assert record.energy == expectation(spec.hamiltonian, record.state)
+        noisy = evaluate_cost(spec, record.state).energy_part
+        assert (noisy != record.energy) == bool(p)
+
     def test_best_not_worse_than_start(self):
         rng = np.random.default_rng(8)
         spec = sector_spec(mu=1.7)
